@@ -489,6 +489,20 @@ impl<C: EmtCodec> ProtectedMemory<C> {
     ///
     /// Panics if the region overruns the memory.
     pub fn write_block(&mut self, base: usize, data: &[i16]) {
+        self.preload_block(base, data);
+        self.stats.writes += data.len() as u64;
+    }
+
+    /// [`ProtectedMemory::write_block`] without the statistics: latches
+    /// exactly the cells a counted write would, but leaves
+    /// [`AccessStats::writes`] untouched. This is how a
+    /// resumed trial rebuilds the memory image an earlier stretch of the
+    /// run left behind without charging that stretch's writes again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region overruns the memory.
+    pub fn preload_block(&mut self, base: usize, data: &[i16]) {
         let end = base
             .checked_add(data.len())
             .expect("block end overflows usize");
@@ -503,7 +517,6 @@ impl<C: EmtCodec> ProtectedMemory<C> {
                 outcome: DecodeOutcome::Clean,
             };
         }
-        self.stats.writes += data.len() as u64;
     }
 
     /// Reads `out.len()` consecutive words starting at `base` — the block

@@ -23,6 +23,27 @@ use crate::{
 /// (all mutable state lives in the supplied storage), so one instance can
 /// serve concurrent campaign workers and worker arenas can hold their own
 /// boxed copies.
+///
+/// # Stages
+///
+/// Every app is a fixed sequence of [`BiomedicalApp::stages`] compute
+/// stages followed by the output readback ([`BiomedicalApp::read_output`]).
+/// [`BiomedicalApp::run`] is exactly that loop — there is no other code
+/// path — and the stage contract is what lets a fault-injection campaign
+/// resume a trial mid-run:
+///
+/// * **cross-stage state lives in the memory.** A stage may keep
+///   register-resident scratch (accumulators, block buffers), but nothing
+///   it computes survives into a later stage except through `mem`; which
+///   buffers a stage reads and writes is a pure function of `k`.
+/// * so the memory image at the start of stage `k` fully determines the
+///   rest of the run: replaying the writes of stages `0..k` into a fresh
+///   memory and calling [`BiomedicalApp::run_from`]`(k, …)` reproduces the
+///   output and the suffix's exact reads and writes.
+///
+/// The boundaries follow each kernel's phases (DWT scales, matrix-filter
+/// (iteration, column) products, morphological passes, delineation
+/// filters, …), the checkpointable shape a campaign resumes at.
 pub trait BiomedicalApp: Send + Sync {
     /// Display name (matches the paper's figure legends).
     fn name(&self) -> &'static str;
@@ -39,14 +60,45 @@ pub trait BiomedicalApp: Send + Sync {
     /// Total data-memory footprint (words) of all buffers.
     fn memory_words(&self) -> usize;
 
+    /// Number of compute stages of one run (the readback is not counted).
+    fn stages(&self) -> usize;
+
+    /// Executes compute stage `k` (`k < stages()`) on `mem`, which must
+    /// hold the image stages `0..k` left behind. Stage 0 stores `input`;
+    /// later stages may read `input` only as a pure function of `k`.
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage);
+
+    /// The final stage: reads the output buffer back *through* `mem`.
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16>;
+
     /// Executes the application with all buffers in `mem`, returning the
-    /// output read back *through* `mem`.
+    /// output read back *through* `mem`: every stage, then the readback.
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != input_len()` or `mem` is smaller than
     /// [`BiomedicalApp::memory_words`].
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16>;
+    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
+        self.run_from(0, input, mem)
+    }
+
+    /// Runs stages `first..stages()` and the readback on a memory holding
+    /// the image stages `0..first` produced (`first == stages()` only
+    /// reads the output back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first > stages()`, `input.len() != input_len()` or `mem`
+    /// is smaller than [`BiomedicalApp::memory_words`].
+    fn run_from(&self, first: usize, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
+        assert!(first <= self.stages(), "stage {first} out of range");
+        assert_eq!(input.len(), self.input_len(), "input length mismatch");
+        assert!(mem.len() >= self.memory_words(), "memory too small");
+        for k in first..self.stages() {
+            self.run_stage(k, input, mem);
+        }
+        self.read_output(mem)
+    }
 
     /// Double-precision golden reference (`x_theo` of Formula 1).
     ///

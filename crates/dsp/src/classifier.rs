@@ -176,14 +176,22 @@ impl BiomedicalApp for HeartbeatClassifier {
         self.delineator.memory_words() + self.output_len()
     }
 
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
-        assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        assert!(mem.len() >= self.memory_words(), "memory too small");
-        // Stage 1: delineation, writing its own buffers through `mem`.
-        let fiducials = self.delineator.run(input, mem);
-        // Stage 2: classification over the (possibly corrupted) fiducials,
-        // reading P/QRS amplitudes back from the delineator's smoothed
-        // buffer — through the faulty memory, like everything else.
+    /// The delineator's stages, then classification.
+    fn stages(&self) -> usize {
+        self.delineator.stages() + 1
+    }
+
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage) {
+        // Delineation, writing its own buffers through `mem`.
+        if k < self.delineator.stages() {
+            self.delineator.run_stage(k, input, mem);
+            return;
+        }
+        // Classification over the (possibly corrupted) fiducials read back
+        // from the delineator's output, reading P/QRS amplitudes from the
+        // delineator's smoothed buffer — through the faulty memory, like
+        // everything else.
+        let fiducials = self.delineator.read_output(mem);
         let n = self.delineator.input_len();
         let lp2_base = self.delineator.lp2_base();
         let mut lp2 = Vec::with_capacity(n);
@@ -191,9 +199,11 @@ impl BiomedicalApp for HeartbeatClassifier {
             lp2.push(f64::from(mem.read(lp2_base + i)));
         }
         let classes = self.classify(&fiducials, |i| lp2[i], self.delineator.max_beats());
-        let base = self.delineator.memory_words();
-        mem.store_slice(base, &classes);
-        mem.load_slice(base, self.output_len())
+        mem.store_slice(self.delineator.memory_words(), &classes);
+    }
+
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16> {
+        mem.load_slice(self.delineator.memory_words(), self.output_len())
     }
 
     fn run_reference(&self, input: &[i16]) -> Vec<f64> {

@@ -121,16 +121,24 @@ impl BiomedicalApp for CompressedSensing {
         self.n + self.measurements()
     }
 
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
-        assert_eq!(input.len(), self.n, "input length mismatch");
-        assert!(mem.len() >= self.memory_words(), "memory too small");
-        mem.store_slice(self.input_base(), input);
-        let m = self.measurements();
+    /// Two stages: store the window, then accumulate and write the
+    /// measurements (the accumulators are registers, so accumulation and
+    /// write-out cannot be split without a memory round trip the device
+    /// does not make).
+    fn stages(&self) -> usize {
+        2
+    }
+
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage) {
+        if k == 0 {
+            mem.store_slice(self.input_base(), input);
+            return;
+        }
         let shift = self.scale_shift();
         // Row-major accumulation in registers: the node accumulates each
         // measurement in a MAC register, then stores it once. Only buffers
         // live in (faulty) data memory.
-        let mut acc = vec![0i64; m];
+        let mut acc = vec![0i64; self.measurements()];
         for col in 0..self.n {
             let x = i64::from(mem.read(self.input_base() + col));
             for k in 0..self.nonzeros_per_column {
@@ -143,7 +151,10 @@ impl BiomedicalApp for CompressedSensing {
                 .clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
             mem.write(self.output_base() + row, v);
         }
-        mem.load_slice(self.output_base(), m)
+    }
+
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16> {
+        mem.load_slice(self.output_base(), self.measurements())
     }
 
     fn run_reference(&self, input: &[i16]) -> Vec<f64> {

@@ -206,34 +206,47 @@ impl BiomedicalApp for WaveletDelineation {
         4 * self.n + self.output_len()
     }
 
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
-        assert_eq!(input.len(), self.n, "input length mismatch");
-        assert!(mem.len() >= self.memory_words(), "memory too small");
+    /// Scale-1 low-pass, scale-2 detail, scale-2 low-pass, then
+    /// detection (which stores the fiducials).
+    fn stages(&self) -> usize {
+        4
+    }
+
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage) {
         let n = self.n;
-        mem.store_slice(self.input_base(), input);
-        lowpass_fixed(mem, self.input_base(), self.lp1(), n, 1);
-        highpass_fixed(mem, self.lp1(), self.w2(), n, 2);
-        lowpass_fixed(mem, self.lp1(), self.lp2(), n, 2);
-        // The detector re-reads the transformed buffers through the (possibly
-        // faulty) memory on every access, as the device would — streamed in
-        // as one block load per buffer (same words, same access counts).
-        let fiducials = {
-            let mut w2v = vec![0i16; n];
-            let mut lp1v = vec![0i16; n];
-            let mut lp2v = vec![0i16; n];
-            mem.read_block(self.w2(), &mut w2v);
-            mem.read_block(self.lp1(), &mut lp1v);
-            mem.read_block(self.lp2(), &mut lp2v);
-            detect_fiducials(
-                n,
-                self.fs,
-                |i| f64::from(w2v[i]),
-                |i| f64::from(lp1v[i]),
-                |i| f64::from(lp2v[i]),
-                self.max_beats,
-            )
-        };
-        mem.store_slice(self.output_base(), &fiducials);
+        match k {
+            0 => {
+                mem.store_slice(self.input_base(), input);
+                lowpass_fixed(mem, self.input_base(), self.lp1(), n, 1);
+            }
+            1 => highpass_fixed(mem, self.lp1(), self.w2(), n, 2),
+            2 => lowpass_fixed(mem, self.lp1(), self.lp2(), n, 2),
+            3 => {
+                // The detector re-reads the transformed buffers through
+                // the (possibly faulty) memory on every access, as the
+                // device would — streamed in as one block load per buffer
+                // (same words, same access counts).
+                let mut w2v = vec![0i16; n];
+                let mut lp1v = vec![0i16; n];
+                let mut lp2v = vec![0i16; n];
+                mem.read_block(self.w2(), &mut w2v);
+                mem.read_block(self.lp1(), &mut lp1v);
+                mem.read_block(self.lp2(), &mut lp2v);
+                let fiducials = detect_fiducials(
+                    n,
+                    self.fs,
+                    |i| f64::from(w2v[i]),
+                    |i| f64::from(lp1v[i]),
+                    |i| f64::from(lp2v[i]),
+                    self.max_beats,
+                );
+                mem.store_slice(self.output_base(), &fiducials);
+            }
+            _ => panic!("stage {k} out of range"),
+        }
+    }
+
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16> {
         mem.load_slice(self.output_base(), self.output_len())
     }
 

@@ -70,6 +70,15 @@ impl Dwt {
     fn output_base(&self) -> usize {
         3 * self.n
     }
+    /// The buffer scale `j` reads: the input for `j = 0`, then the
+    /// approximations ping-pong between the two approximation buffers.
+    fn scale_src(&self, j: usize) -> usize {
+        match j {
+            0 => self.input_base(),
+            j if j % 2 == 1 => self.approx_a(),
+            _ => self.approx_b(),
+        }
+    }
 }
 
 /// Clamped (symmetric-edge) index.
@@ -204,31 +213,40 @@ impl BiomedicalApp for Dwt {
         3 * self.n + self.output_len()
     }
 
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
-        assert_eq!(input.len(), self.n, "input length mismatch");
-        assert!(mem.len() >= self.memory_words(), "memory too small");
+    /// One stage per scale, then the final approximation copy.
+    fn stages(&self) -> usize {
+        self.scales as usize + 1
+    }
+
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage) {
         let n = self.n;
-        mem.store_slice(self.input_base(), input);
-        let mut cur = self.input_base();
-        let mut next = self.approx_a();
-        for j in 0..self.scales {
-            let spacing = 1usize << j;
-            // Detail of this scale goes straight to its output slot.
-            highpass_fixed(mem, cur, self.output_base() + j as usize * n, n, spacing);
-            lowpass_fixed(mem, cur, next, n, spacing);
-            cur = next;
-            next = if cur == self.approx_a() {
-                self.approx_b()
-            } else {
-                self.approx_a()
-            };
+        let scales = self.scales as usize;
+        if k == 0 {
+            mem.store_slice(self.input_base(), input);
         }
-        // Final approximation: copied into the output region through the
-        // memory, like any other buffer-to-buffer move on the device —
-        // streamed as one block load + one block store over the same words.
-        let mut approx = vec![0i16; n];
-        mem.read_block(cur, &mut approx);
-        mem.write_block(self.output_base() + self.scales as usize * n, &approx);
+        if k < scales {
+            let spacing = 1usize << k;
+            // Detail of this scale goes straight to its output slot.
+            highpass_fixed(
+                mem,
+                self.scale_src(k),
+                self.output_base() + k * n,
+                n,
+                spacing,
+            );
+            lowpass_fixed(mem, self.scale_src(k), self.scale_src(k + 1), n, spacing);
+        } else {
+            // Final approximation: copied into the output region through
+            // the memory, like any other buffer-to-buffer move on the
+            // device — streamed as one block load + one block store over
+            // the same words.
+            let mut approx = vec![0i16; n];
+            mem.read_block(self.scale_src(scales), &mut approx);
+            mem.write_block(self.output_base() + scales * n, &approx);
+        }
+    }
+
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16> {
         mem.load_slice(self.output_base(), self.output_len())
     }
 

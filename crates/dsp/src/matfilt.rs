@@ -87,6 +87,15 @@ impl MatrixFilter {
     fn c_base(&self) -> usize {
         self.b_base() + self.dim * self.windows
     }
+    /// `(source, destination)` of `iteration`: after each iteration `C`
+    /// becomes the next `B`, so the two buffers alternate.
+    fn buffers(&self, iteration: usize) -> (usize, usize) {
+        if iteration % 2 == 0 {
+            (self.b_base(), self.c_base())
+        } else {
+            (self.c_base(), self.b_base())
+        }
+    }
 }
 
 /// Unnormalized Gaussian weight between row `r` and column `c`.
@@ -128,49 +137,54 @@ impl BiomedicalApp for MatrixFilter {
         self.dim * self.dim + 2 * self.dim * self.windows
     }
 
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
-        assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        assert!(mem.len() >= self.memory_words(), "memory too small");
-        let (dim, cols) = (self.dim, self.windows);
-        // Store A (row-major, one block write per row) and B (column per
-        // window) through the memory.
+    /// One stage per (iteration, column) product; stage 0 also stores A
+    /// and B.
+    fn stages(&self) -> usize {
+        self.iterations as usize * self.windows
+    }
+
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage) {
+        let dim = self.dim;
         let mut arow = vec![0i16; dim];
-        for r in 0..dim {
-            for (c, slot) in arow.iter_mut().enumerate() {
-                *slot = self.coefficient_q15(r, c);
+        if k == 0 {
+            // Store A (row-major, one block write per row) and B (column
+            // per window) through the memory.
+            for r in 0..dim {
+                for (c, slot) in arow.iter_mut().enumerate() {
+                    *slot = self.coefficient_q15(r, c);
+                }
+                mem.write_block(self.a_base() + r * dim, &arow);
             }
-            mem.write_block(self.a_base() + r * dim, &arow);
+            mem.store_slice(self.b_base(), input);
         }
-        mem.store_slice(self.b_base(), input);
-        let (mut src, mut dst) = (self.b_base(), self.c_base());
+        let (iteration, col) = (k / self.windows, k % self.windows);
+        let (src, dst) = self.buffers(iteration);
         let mut bcol = vec![0i16; dim];
         let mut cres = vec![0i16; dim];
-        for _ in 0..self.iterations {
-            for col in 0..cols {
-                for (r, res) in cres.iter_mut().enumerate() {
-                    // Full GEMM row traversal, exactly as the kernel runs
-                    // on the node: every coefficient of row r — including
-                    // the stored zeros — is re-read from the faulty memory
-                    // (streamed in as blocks, same cells and access counts
-                    // as word-at-a-time reads). This is why the paper's
-                    // Fig. 2 puts this application below the others: a
-                    // stuck bit in a "zero" of A turns into a phantom
-                    // coefficient that couples the output to a whole
-                    // column of B.
-                    mem.read_block(self.a_base() + r * dim, &mut arow);
-                    mem.read_block(src + col * dim, &mut bcol);
-                    // `dot_q15` is bit-identical to the sequential
-                    // `Acc32::mac` fold (rows of I − G have gain < 2.0, so
-                    // it vectorizes; corrupted rows that could saturate
-                    // fall back to the exact fold).
-                    *res = dot_q15(&arow, &bcol).to_q15(Rounding::Nearest).raw();
-                }
-                mem.write_block(dst + col * dim, &cres);
-            }
-            std::mem::swap(&mut src, &mut dst);
+        for (r, res) in cres.iter_mut().enumerate() {
+            // Full GEMM row traversal, exactly as the kernel runs on the
+            // node: every coefficient of row r — including the stored
+            // zeros — is re-read from the faulty memory (streamed in as
+            // blocks, same cells and access counts as word-at-a-time
+            // reads). This is why the paper's Fig. 2 puts this application
+            // below the others: a stuck bit in a "zero" of A turns into a
+            // phantom coefficient that couples the output to a whole
+            // column of B.
+            mem.read_block(self.a_base() + r * dim, &mut arow);
+            mem.read_block(src + col * dim, &mut bcol);
+            // `dot_q15` is bit-identical to the sequential `Acc32::mac`
+            // fold (rows of I − G have gain < 2.0, so it vectorizes;
+            // corrupted rows that could saturate fall back to the exact
+            // fold).
+            *res = dot_q15(&arow, &bcol).to_q15(Rounding::Nearest).raw();
         }
-        // After the final swap, `src` holds the freshest result.
-        mem.load_slice(src, self.output_len())
+        mem.write_block(dst + col * dim, &cres);
+    }
+
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16> {
+        // The source of the iteration after the last holds the freshest
+        // result.
+        mem.load_slice(self.buffers(self.iterations as usize).0, self.output_len())
     }
 
     fn run_reference(&self, input: &[i16]) -> Vec<f64> {

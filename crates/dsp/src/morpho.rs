@@ -141,6 +141,27 @@ fn sliding_extreme(
     mem.write_block(dst, &out);
 }
 
+/// Element-wise `dst[i] = f(a[i], b[i])` over two `n`-word regions — the
+/// operand windows stream in as blocks (same words and counts as
+/// word-at-a-time reads).
+fn combine(
+    mem: &mut dyn WordStorage,
+    a: usize,
+    b: usize,
+    dst: usize,
+    n: usize,
+    f: impl Fn(i32, i32) -> i32,
+) {
+    let mut wa = vec![0i16; n];
+    let mut wb = vec![0i16; n];
+    mem.read_block(a, &mut wa);
+    mem.read_block(b, &mut wb);
+    for (x, &y) in wa.iter_mut().zip(&wb) {
+        *x = f(i32::from(*x), i32::from(y)) as i16;
+    }
+    mem.write_block(dst, &wa);
+}
+
 /// Float reference of [`sliding_extreme`].
 fn sliding_extreme_f64(x: &[f64], window: usize, take_max: bool) -> Vec<f64> {
     let n = x.len();
@@ -180,11 +201,13 @@ impl BiomedicalApp for MorphologicalFilter {
         6 * self.n
     }
 
-    fn run(&self, input: &[i16], mem: &mut dyn WordStorage) -> Vec<i16> {
-        assert_eq!(input.len(), self.n, "input length mismatch");
-        assert!(mem.len() >= self.memory_words(), "memory too small");
+    /// One stage per sliding-extreme pass and per combine pass.
+    fn stages(&self) -> usize {
+        10
+    }
+
+    fn run_stage(&self, k: usize, input: &[i16], mem: &mut dyn WordStorage) {
         let n = self.n;
-        mem.store_slice(self.input_base(), input);
         let (input_b, t1, t2, den, base, out) = (
             self.input_base(),
             self.t1(),
@@ -194,38 +217,34 @@ impl BiomedicalApp for MorphologicalFilter {
             self.output_base(),
         );
         let w = self.denoise_len;
-        // Opening(x) -> t2 : erode then dilate.
-        sliding_extreme(mem, input_b, t1, n, w, false);
-        sliding_extreme(mem, t1, t2, n, w, true);
-        // Closing(x) -> t1 (via den as scratch): dilate then erode.
-        sliding_extreme(mem, input_b, den, n, w, true);
-        sliding_extreme(mem, den, t1, n, w, false);
-        // Denoised = (opening + closing) / 2, rounded to nearest — the
-        // operand windows stream in as blocks (same words and counts as
-        // word-at-a-time reads).
-        let mut wa = vec![0i16; n];
-        let mut wb = vec![0i16; n];
-        mem.read_block(t2, &mut wa);
-        mem.read_block(t1, &mut wb);
-        for i in 0..n {
-            wa[i] = ((i32::from(wa[i]) + i32::from(wb[i]) + 1) >> 1) as i16;
+        match k {
+            // Opening(x) -> t2 : erode then dilate.
+            0 => {
+                mem.store_slice(input_b, input);
+                sliding_extreme(mem, input_b, t1, n, w, false);
+            }
+            1 => sliding_extreme(mem, t1, t2, n, w, true),
+            // Closing(x) -> t1 (via den as scratch): dilate then erode.
+            2 => sliding_extreme(mem, input_b, den, n, w, true),
+            3 => sliding_extreme(mem, den, t1, n, w, false),
+            // Denoised = (opening + closing) / 2, rounded to nearest.
+            4 => combine(mem, t2, t1, den, n, |a, b| (a + b + 1) >> 1),
+            // Baseline: opening with the short-beat SE, closing with the
+            // long one — classic peak-then-pit suppression.
+            5 => sliding_extreme(mem, den, t1, n, self.open_len, false),
+            6 => sliding_extreme(mem, t1, t2, n, self.open_len, true),
+            7 => sliding_extreme(mem, t2, t1, n, self.close_len, true),
+            8 => sliding_extreme(mem, t1, base, n, self.close_len, false),
+            // Correction.
+            9 => combine(mem, den, base, out, n, |a, b| {
+                (a - b).clamp(i32::from(i16::MIN), i32::from(i16::MAX))
+            }),
+            _ => panic!("stage {k} out of range"),
         }
-        mem.write_block(den, &wa);
-        // Baseline: opening with the short-beat SE, closing with the long
-        // one — classic peak-then-pit suppression.
-        sliding_extreme(mem, den, t1, n, self.open_len, false);
-        sliding_extreme(mem, t1, t2, n, self.open_len, true);
-        sliding_extreme(mem, t2, t1, n, self.close_len, true);
-        sliding_extreme(mem, t1, base, n, self.close_len, false);
-        // Correction.
-        mem.read_block(den, &mut wa);
-        mem.read_block(base, &mut wb);
-        for i in 0..n {
-            let s = i32::from(wa[i]) - i32::from(wb[i]);
-            wa[i] = s.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16;
-        }
-        mem.write_block(out, &wa);
-        mem.load_slice(out, n)
+    }
+
+    fn read_output(&self, mem: &mut dyn WordStorage) -> Vec<i16> {
+        mem.load_slice(self.output_base(), self.n)
     }
 
     fn run_reference(&self, input: &[i16]) -> Vec<f64> {

@@ -279,12 +279,20 @@ impl FaultMap {
         } else {
             (1u32 << self.width) - 1
         };
-        self.fault_count = 0;
-        for w in 0..self.words {
-            self.stuck_mask[w] = src.stuck_mask[w] & keep;
-            self.stuck_val[w] = src.stuck_val[w] & keep;
-            self.fault_count += self.stuck_mask[w].count_ones() as usize;
+        for (dst, &src) in self.stuck_mask.iter_mut().zip(&src.stuck_mask) {
+            *dst = src & keep;
         }
+        for (dst, &src) in self.stuck_val.iter_mut().zip(&src.stuck_val) {
+            *dst = src & keep;
+        }
+        // Trials re-arm once per scalar replay and maps are sparse: only
+        // faulty words pay the popcount (software on baseline x86-64).
+        self.fault_count = self
+            .stuck_mask
+            .iter()
+            .filter(|&&m| m != 0)
+            .map(|m| m.count_ones() as usize)
+            .sum();
     }
 }
 

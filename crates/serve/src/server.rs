@@ -301,12 +301,9 @@ struct State {
     retry_after_secs: u64,
     bound_addr: SocketAddr,
     campaigns: Mutex<HashMap<String, CampaignInfo>>,
-    /// Notified on every worker progress event and status change; the
+    /// Bumped on every worker progress event and status change; the
     /// follower poller waits on it (with [`FOLLOW_POLL`] as backstop).
-    progress: Condvar,
-    /// Paired with [`State::progress`]; holds no data — the campaign map
-    /// has its own lock so followers never serialize against submitters.
-    progress_lock: Mutex<()>,
+    progress: Progress,
     jobs: mpsc::Sender<Job>,
     /// Hand-off of freshly admitted streaming connections to the poller.
     followers: mpsc::Sender<Follower>,
@@ -357,8 +354,7 @@ impl State {
     }
 
     fn notify(&self) {
-        let _guard = self.progress_lock.lock().expect("progress lock");
-        self.progress.notify_all();
+        self.progress.notify();
     }
 
     /// Reserves a queue slot, failing when the queue is full — the
@@ -478,8 +474,7 @@ impl Server {
             retry_after_secs: config.retry_after.as_secs(),
             bound_addr,
             campaigns: Mutex::new(campaigns),
-            progress: Condvar::new(),
-            progress_lock: Mutex::new(()),
+            progress: Progress::default(),
             jobs,
             followers,
             queued: AtomicU64::new(0),
@@ -1078,12 +1073,9 @@ fn post_drain(state: &Arc<State>, stream: &mut TcpStream, exit: bool) -> io::Res
     // Bounded wait for in-flight work to stop (cancellation is polled
     // between grid points, so this is quick in practice).
     let deadline = Instant::now() + DRAIN_GRACE;
+    let mut seen = state.progress.generation();
     while state.in_flight() > 0 && Instant::now() < deadline {
-        let guard = state.progress_lock.lock().expect("progress lock");
-        let _ = state
-            .progress
-            .wait_timeout(guard, FOLLOW_POLL)
-            .expect("progress lock");
+        state.progress.wait_newer(&mut seen, FOLLOW_POLL);
     }
     let idle = state.in_flight() == 0;
 
@@ -1294,14 +1286,12 @@ fn stream_rows(state: &Arc<State>, stream: TcpStream, id: &str, cache: &str) -> 
 /// past the write timeout sheds the follower.
 fn poller_loop(state: &Arc<State>, incoming: &mpsc::Receiver<Follower>) {
     let mut followers: Vec<Follower> = Vec::new();
+    let mut seen = 0u64;
     loop {
-        {
-            let guard = state.progress_lock.lock().expect("progress lock");
-            let _ = state
-                .progress
-                .wait_timeout(guard, FOLLOW_POLL)
-                .expect("progress lock");
-        }
+        // A notification sent while the previous pass ran has already
+        // bumped the generation, so this returns at once instead of
+        // sleeping out the backstop.
+        state.progress.wait_newer(&mut seen, FOLLOW_POLL);
         loop {
             match incoming.try_recv() {
                 Ok(follower) => followers.push(follower),
@@ -1315,6 +1305,43 @@ fn poller_loop(state: &Arc<State>, incoming: &mpsc::Receiver<Follower>) {
             }
         }
         followers.retain_mut(|follower| pump_follower(state, follower));
+    }
+}
+
+/// A progress notification counter: [`Progress::notify`] bumps a
+/// generation under the lock, and a waiter sleeps only while the
+/// generation still equals the last one it saw. A notification that
+/// lands while the waiter is busy is therefore never lost — a bare
+/// condvar wait would miss it and sleep out the timeout.
+#[derive(Default)]
+struct Progress {
+    generation: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl Progress {
+    fn notify(&self) {
+        let mut generation = self.generation.lock().expect("progress lock");
+        *generation += 1;
+        self.changed.notify_all();
+    }
+
+    fn generation(&self) -> u64 {
+        *self.generation.lock().expect("progress lock")
+    }
+
+    /// Waits up to `timeout` for a generation newer than `*seen`, then
+    /// records the current one in `*seen`. Returns whether a newer
+    /// generation was seen (`false` on timeout).
+    fn wait_newer(&self, seen: &mut u64, timeout: Duration) -> bool {
+        let generation = self.generation.lock().expect("progress lock");
+        let (generation, _) = self
+            .changed
+            .wait_timeout_while(generation, timeout, |g| *g == *seen)
+            .expect("progress lock");
+        let newer = *generation != *seen;
+        *seen = *generation;
+        newer
     }
 }
 
@@ -1398,4 +1425,29 @@ fn frame_chunk(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_notify_during_the_pollers_pass_wakes_its_next_wait() {
+        let progress = Progress::default();
+        let mut seen = 0u64;
+        // Idle: nothing newer, so the wait times out.
+        assert!(!progress.wait_newer(&mut seen, Duration::from_millis(1)));
+        // The poller starts a pass; a worker notifies before the pass
+        // ends and the poller waits again.
+        progress.notify();
+        let started = Instant::now();
+        assert!(progress.wait_newer(&mut seen, Duration::from_secs(30)));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the mid-pass notification was lost"
+        );
+        assert_eq!(seen, 1);
+        // Consumed: the next wait sleeps again until a new notification.
+        assert!(!progress.wait_newer(&mut seen, Duration::from_millis(1)));
+    }
 }

@@ -280,9 +280,10 @@ struct InjectionTrial {
 
 /// Bit-sliced execution of one (app, EMT) injection batch: trials sharing
 /// a record ride one clean pass in lanes of up to [`MAX_LANES`]; lanes
-/// whose decode ever diverges from the clean word are replayed on the
-/// scalar path, so the returned SNR vector (in `trials` order) is
-/// bit-identical to the scalar branch by construction.
+/// whose decode ever diverges from the clean word (or that the bail-out
+/// abandons) are finished on the scalar path, resumed at the stage where
+/// they left the clean pass, so the returned SNR vector (in `trials`
+/// order) is bit-identical to the scalar branch by construction.
 #[allow(clippy::too_many_arguments)]
 fn injection_snrs_batched(
     sc: &Scenario,
@@ -349,7 +350,7 @@ fn injection_snrs_batched(
             }
             let pass = &passes[record];
             let mut batch = TrialBatch::with_bailout(group.len(), bailout);
-            mem.replay_trace(&pass.trace, planes, &mut batch, u64::MAX);
+            let left_at = mem.replay_trace_staged(&pass.trace, planes, &mut batch, u64::MAX);
             let clean_snr = pass.snr;
             let bailed = batch.bailed().count_ones();
             telemetry::record_batch_pass(
@@ -365,12 +366,26 @@ fn injection_snrs_batched(
                         // Survivor: its trace is the clean trace.
                         clean_snr
                     } else {
+                        // Every read before the stage the lane left at
+                        // decoded clean, so it resumes there (rows carry
+                        // only the SNR, which depends on the output alone).
                         let seed = fault_seed(sc.seed, t.record, t.trial);
                         let word = (seed % *words as u64) as usize;
                         map.clear();
                         map.inject(word, t.bit, t.stuck);
                         mem.reset_with_fault_map(map);
-                        let out = mem.run_app(&**app, &records[record].samples);
+                        let stage = usize::from(left_at[lane]);
+                        telemetry::record_resume(
+                            stage,
+                            pass.trace.reads_before(stage),
+                            pass.trace.stats().reads,
+                        );
+                        let out = mem.run_app_resumed(
+                            &**app,
+                            &records[record].samples,
+                            &pass.trace,
+                            stage,
+                        );
                         cap_snr(snr_db(&references[record], &samples_to_f64(&out)))
                     };
                     (i, snr)

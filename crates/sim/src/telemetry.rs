@@ -8,6 +8,9 @@
 //! deep in the faulty region and most lanes replayed scalar; a high
 //! replay-per-trace ratio means the clean-pass reuse amortized well.
 //!
+//! A second set counts how much of the clean prefix stage-resumed lanes
+//! skipped ([`take_resume`]).
+//!
 //! Counting is relaxed-atomic and never participates in campaign output:
 //! results are bit-identical whether or not anything reads these.
 
@@ -74,6 +77,66 @@ pub(crate) fn record_trace() {
     TRACES.fetch_add(1, Ordering::Relaxed);
 }
 
+static RESUME_LANES: AtomicU64 = AtomicU64::new(0);
+static RESUMED: AtomicU64 = AtomicU64::new(0);
+static STAGES_SKIPPED: AtomicU64 = AtomicU64::new(0);
+static READS_SKIPPED: AtomicU64 = AtomicU64::new(0);
+static CLEAN_READS: AtomicU64 = AtomicU64::new(0);
+
+/// A snapshot of the stage-resume counters since the last
+/// [`take_resume`]: how much of the clean prefix evicted and bailed lanes
+/// skipped instead of re-running the application from its first stage.
+/// Kept apart from [`BatchTelemetry`] so that struct's shape is stable.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ResumeTelemetry {
+    /// Evicted or bailed lanes finished by a stage resume.
+    pub lanes: u64,
+    /// Of those, lanes resumed past stage 0 (a lane that left at stage 0
+    /// re-runs everything).
+    pub resumed: u64,
+    /// Stages not re-executed, summed over lanes.
+    pub stages_skipped: u64,
+    /// Clean reads not re-executed, summed over lanes.
+    pub reads_skipped: u64,
+    /// Reads a from-scratch re-run of the same lanes would have made
+    /// (the clean pass's read count per lane).
+    pub clean_reads: u64,
+}
+
+impl ResumeTelemetry {
+    /// Fraction of the from-scratch re-run reads the resumes skipped (0
+    /// when no lane was resumed).
+    pub fn skipped_read_share(&self) -> f64 {
+        if self.clean_reads == 0 {
+            0.0
+        } else {
+            self.reads_skipped as f64 / self.clean_reads as f64
+        }
+    }
+}
+
+/// Accounts one lane resumed at `stage`, skipping `reads_skipped` of the
+/// clean pass's `clean_reads` reads.
+pub(crate) fn record_resume(stage: usize, reads_skipped: u64, clean_reads: u64) {
+    RESUME_LANES.fetch_add(1, Ordering::Relaxed);
+    RESUMED.fetch_add(u64::from(stage > 0), Ordering::Relaxed);
+    STAGES_SKIPPED.fetch_add(stage as u64, Ordering::Relaxed);
+    READS_SKIPPED.fetch_add(reads_skipped, Ordering::Relaxed);
+    CLEAN_READS.fetch_add(clean_reads, Ordering::Relaxed);
+}
+
+/// Returns the stage-resume counters accumulated since the previous call
+/// and resets them to zero (process-wide, like [`take`]).
+pub fn take_resume() -> ResumeTelemetry {
+    ResumeTelemetry {
+        lanes: RESUME_LANES.swap(0, Ordering::Relaxed),
+        resumed: RESUMED.swap(0, Ordering::Relaxed),
+        stages_skipped: STAGES_SKIPPED.swap(0, Ordering::Relaxed),
+        reads_skipped: READS_SKIPPED.swap(0, Ordering::Relaxed),
+        clean_reads: CLEAN_READS.swap(0, Ordering::Relaxed),
+    }
+}
+
 /// Returns the counters accumulated since the previous call and resets
 /// them to zero (process-wide — concurrent campaigns share one set).
 pub fn take() -> BatchTelemetry {
@@ -104,6 +167,20 @@ mod tests {
         assert!(t.bailed >= 4, "{t:?}");
         assert!(t.clean_replays >= 2, "{t:?}");
         assert!(t.traces_recorded >= 1, "{t:?}");
+    }
+
+    #[test]
+    fn take_resume_drains_at_least_this_threads_contribution() {
+        let _ = take_resume();
+        record_resume(3, 300, 1000);
+        record_resume(0, 0, 1000);
+        let t = take_resume();
+        assert!(t.lanes >= 2, "{t:?}");
+        assert!(t.resumed >= 1, "{t:?}");
+        assert!(t.stages_skipped >= 3, "{t:?}");
+        assert!(t.reads_skipped >= 300, "{t:?}");
+        assert!(t.clean_reads >= 2000, "{t:?}");
+        assert_eq!(ResumeTelemetry::default().skipped_read_share(), 0.0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! counts every read against the faulty array, so an "optimization" that
 //! changes access counts silently changes the paper's exposure model.
 
-use dream_dsp::{BiomedicalApp, Dwt, MatrixFilter, MorphologicalFilter, VecStorage, WordStorage};
+use dream_dsp::{
+    AppKind, BiomedicalApp, Dwt, MatrixFilter, MorphologicalFilter, VecStorage, WordStorage,
+};
 use dream_fixed::{Acc32, Q15};
 
 /// Word storage that counts every read and write. Only the per-word
@@ -177,5 +179,76 @@ fn sliding_extreme_wedge_handles_long_elements() {
         // clamp contribute at most one LSB plus saturation at the rails.
         let saturated = got == i16::MAX || got == i16::MIN;
         assert!(err <= 1.0 || saturated, "sample {i}: {got} vs {want}");
+    }
+}
+
+/// Counting storage that also logs every write in order — the clean pass
+/// a resumed run rebuilds its starting image from.
+struct LoggingStorage {
+    inner: CountingStorage,
+    log: Vec<(usize, i16)>,
+}
+
+impl WordStorage for LoggingStorage {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn read(&mut self, addr: usize) -> i16 {
+        self.inner.read(addr)
+    }
+
+    fn write(&mut self, addr: usize, value: i16) {
+        self.log.push((addr, value));
+        self.inner.write(addr, value);
+    }
+}
+
+/// A memory whose never-written words hold a nonzero pattern, so a stage
+/// that read a word its prefix never wrote would see the same garbage in
+/// the resumed memory only if the preload left it untouched.
+fn patterned(words: usize) -> CountingStorage {
+    let mut mem = CountingStorage::new(words);
+    for (i, w) in mem.words.iter_mut().enumerate() {
+        *w = (i as i16).wrapping_mul(0x2F1D) ^ 0x5A5A;
+    }
+    mem
+}
+
+#[test]
+fn every_app_resumes_at_every_stage_exactly() {
+    // The stage contract: all cross-stage state lives in the memory. So
+    // running stages 0..k on memory A, replaying A's writes (uncounted)
+    // into a fresh memory B and running stages k.. plus the readback on
+    // B must reproduce `run`'s output and exactly the suffix's accesses.
+    let n = 512;
+    let input = signal(n, 0x5eed_0005);
+    for kind in AppKind::extended() {
+        let app = kind.instantiate(n);
+        let words = app.memory_words();
+        let mut full = patterned(words);
+        let expected = app.run(&input, &mut full);
+        let stages = app.stages();
+        assert!(stages >= 2, "{kind}: a single stage cannot resume");
+        for k in 0..=stages {
+            let mut a = LoggingStorage {
+                inner: patterned(words),
+                log: Vec::new(),
+            };
+            for stage in 0..k {
+                app.run_stage(stage, &input, &mut a);
+            }
+            let mut b = patterned(words);
+            for &(addr, value) in &a.log {
+                b.words[addr] = value;
+            }
+            let out = app.run_from(k, &input, &mut b);
+            assert_eq!(out, expected, "{kind}: resumed at stage {k}");
+            assert_eq!(
+                (a.inner.reads + b.reads, a.inner.writes + b.writes),
+                (full.reads, full.writes),
+                "{kind}: prefix + suffix accesses at stage {k}"
+            );
+        }
     }
 }

@@ -136,3 +136,37 @@ fn bailout_threshold_never_changes_rows() {
         }
     }
 }
+
+/// A fig2-derived injection spec at the full window whose groups fill:
+/// 4 bits × 2 polarities × 8 trials = 64 lanes per record, unprotected
+/// and DREAM-protected (DREAM's unprotected LSBs diverge, its sign run
+/// does not, so groups both evict and survive).
+fn full_group_fig2() -> Scenario {
+    let mut sc = registry::get("fig2", true).expect("preset exists");
+    sc.window = 1024;
+    sc.records = 2;
+    sc.trials = 8;
+    sc.grid = Grid::BitPosition(vec![0, 5, 11, 15]);
+    sc.emts = vec![dream_core::EmtKind::None, dream_core::EmtKind::Dream];
+    sc
+}
+
+#[test]
+fn full_injection_groups_resume_byte_identically_at_every_bailout() {
+    // Evicted and bailed lanes resume at the stage they left the clean
+    // pass; whichever lanes the bail-out abandons and wherever they
+    // resume, the rows must equal the from-scratch scalar campaign's.
+    let sc = full_group_fig2();
+    let reference = jsonl(&sc, false, 1);
+    assert!(!reference.is_empty(), "{}: no rows streamed", sc.name);
+    for fraction in [0.0, 0.25, 1.0] {
+        for threads in [1, 2] {
+            assert_eq!(
+                reference,
+                jsonl_bailout(&sc, threads, fraction),
+                "{}: bail-out {fraction} diverged at {threads} thread(s)",
+                sc.name
+            );
+        }
+    }
+}
