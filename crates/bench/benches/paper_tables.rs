@@ -8,6 +8,7 @@ use dream_core::EmtKind;
 use dream_dsp::AppKind;
 use dream_mem::BerModel;
 use dream_sim::energy_table::{area_table, run_energy_table, EnergyConfig};
+use dream_sim::exec::ExecConfig;
 use dream_sim::fig2::{run_fig2, Fig2Config};
 use dream_sim::fig4::{run_fig4, Fig4Config};
 use dream_sim::tradeoff::explore;
@@ -62,7 +63,12 @@ fn bench_energy(c: &mut Criterion) {
             window: 512,
             ..Default::default()
         };
-        b.iter(|| black_box(run_energy_table(black_box(&cfg))))
+        b.iter(|| {
+            black_box(run_energy_table(
+                black_box(&cfg),
+                ExecConfig::from_env().threads,
+            ))
+        })
     });
     group.bench_function("area_table", |b| {
         b.iter(|| black_box(area_table(&EmtKind::paper_set())))
@@ -74,11 +80,14 @@ fn bench_tradeoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("tables");
     group.sample_size(10);
     let fig4 = run_fig4(&smoke_fig4());
-    let energy = run_energy_table(&EnergyConfig {
-        window: 512,
-        voltages: vec![0.55, 0.7, 0.9],
-        ..Default::default()
-    });
+    let energy = run_energy_table(
+        &EnergyConfig {
+            window: 512,
+            voltages: vec![0.55, 0.7, 0.9],
+            ..Default::default()
+        },
+        ExecConfig::from_env().threads,
+    );
     group.bench_function("tradeoff_explore", |b| {
         b.iter(|| {
             black_box(explore(

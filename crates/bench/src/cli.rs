@@ -48,6 +48,7 @@
 use std::io::{self, Write};
 use std::path::PathBuf;
 
+use dream_sim::exec::ExecConfig;
 use dream_sim::report::{CsvSink, JsonlSink, TableSink};
 use dream_sim::scenario::{
     emt_from_token, registry, CampaignRunner, FaultModelSpec, Scenario, ScenarioOutcome, ShardPlan,
@@ -256,7 +257,7 @@ fn serve(args: &Args) {
         None => (defaults.workers, Vec::new()),
     };
     let shards = args.number("shards", defaults.shards).max(1);
-    let threads = crate::apply_threads(args);
+    let threads = crate::apply_threads(args, ExecConfig::from_env().threads);
     let queue_depth = args.number("queue", defaults.queue_depth);
     let socket_timeout = std::time::Duration::from_millis(
         args.number("timeout-ms", defaults.read_timeout.as_millis() as usize) as u64,
@@ -441,10 +442,14 @@ fn parse_fault_model(token: &str) -> FaultModelSpec {
 pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
     let mut sc = resolve(target, args.switch("smoke"));
     apply_overrides(&mut sc, args);
-    let threads = crate::apply_threads(args);
-    let batch = crate::apply_batch(args);
+    let env = ExecConfig::from_env();
+    let exec = ExecConfig {
+        threads: crate::apply_threads(args, env.threads),
+        batch: crate::apply_batch(args, env.batch),
+        ..env
+    };
     eprintln!(
-        "dream run {}: kind={} axis={} points={} trials={} window={} fault-model={} threads={threads} batch={batch}",
+        "dream run {}: kind={} axis={} points={} trials={} window={} fault-model={} threads={} batch={}",
         sc.name,
         sc.kind.token(),
         sc.grid.axis_token(),
@@ -452,16 +457,22 @@ pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
         sc.trials,
         sc.window,
         sc.fault.model.kind_token(),
+        exec.threads,
+        exec.batch,
     );
-    execute(&sc, args.switch("progress"))
+    execute(&sc, exec, args.switch("progress"))
 }
 
-/// Builds the campaign runner every `dream run` goes through; `--progress`
-/// attaches a stderr reporter that redraws one `\r` status line with
-/// rows streamed, total rows, and percent complete (families whose row
-/// total is data-dependent fall back to a line per batch).
-fn runner_for(sc: &Scenario, progress: bool) -> CampaignRunner {
-    let mut runner = CampaignRunner::new(sc.clone());
+/// Builds the campaign runner every `dream run` goes through, executing
+/// under `exec`; `--progress` attaches a stderr reporter that redraws one
+/// `\r` status line with rows streamed, total rows, and percent complete
+/// (families whose row total is data-dependent fall back to a line per
+/// batch).
+fn runner_for(sc: &Scenario, exec: ExecConfig, progress: bool) -> CampaignRunner {
+    let mut runner = CampaignRunner::new(sc.clone())
+        .threads(exec.threads)
+        .batch(exec.batch)
+        .bailout(exec.bailout);
     if progress {
         let name = sc.name.clone();
         // A trivial (K=1) shard plan knows the campaign's exact row count
@@ -489,13 +500,13 @@ fn runner_for(sc: &Scenario, progress: bool) -> CampaignRunner {
 
 /// Executes a scenario against its configured sink, echoing a table to
 /// stdout when rows stream to a file.
-fn execute(sc: &Scenario, progress: bool) -> ScenarioOutcome {
+fn execute(sc: &Scenario, exec: ExecConfig, progress: bool) -> ScenarioOutcome {
     // Validate before any artifact is opened: a bad flag combination
     // (e.g. `,append` without jsonl) must not truncate the very file a
     // resumed campaign was accumulating.
     sc.validate()
         .unwrap_or_else(|e| panic!("scenario {}: {e}", sc.name));
-    let runner = runner_for(sc, progress);
+    let runner = runner_for(sc, exec, progress);
     let format = sc.sink.format;
     let outcome = match &sc.sink.out {
         None => {

@@ -88,40 +88,37 @@ impl Args {
     }
 }
 
-/// Applies the `--threads N` flag every campaign binary shares: pins the
-/// executor's worker count (otherwise `DREAM_THREADS` / auto-detection
-/// decides) and returns the resolved count for banner lines.
-pub fn apply_threads(args: &Args) -> usize {
-    if let Some(n) = args.value("threads") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--threads expects a positive integer, got {n:?}"));
-        dream_sim::exec::set_thread_override(Some(n));
+/// Resolves the `--threads N` flag every campaign binary shares over
+/// `default` (the environment's count, [`ExecConfig::from_env`]).
+///
+/// [`ExecConfig::from_env`]: dream_sim::exec::ExecConfig::from_env
+pub fn apply_threads(args: &Args, default: usize) -> usize {
+    match args.value("threads") {
+        None => default,
+        Some(n) => match n.parse() {
+            Ok(n) if n > 0 => n,
+            _ => panic!("--threads expects a positive integer, got {n:?}"),
+        },
     }
-    dream_sim::exec::thread_count()
 }
 
-/// Applies the `--batch [on|off]` flag shared by the campaign binaries:
-/// bare `--batch` (or `on`/`true`/`1`) pins bit-sliced trial batching on,
-/// `off`/`false`/`0` pins it off; without the flag the `DREAM_BATCH`
-/// environment variable decides (batching defaults **on** — set
-/// `DREAM_BATCH=0` to opt out). Returns the resolved setting for banner
-/// lines. Batching changes scheduling only — output bytes are identical
-/// either way.
-pub fn apply_batch(args: &Args) -> bool {
-    if args.switch("batch") {
-        let enabled = match args.value("batch") {
-            None => true,
-            Some("on" | "true" | "1") => true,
-            Some("off" | "false" | "0") => false,
-            Some(other) => panic!("--batch expects on|off, got {other:?}"),
-        };
-        dream_sim::exec::set_batch_override(Some(enabled));
+/// Resolves the `--batch [on|off]` flag shared by the campaign binaries
+/// over `default` (the environment's `DREAM_BATCH`, which defaults
+/// **on**): bare `--batch` (or `on`/`true`/`1`) turns bit-sliced trial
+/// batching on, `off`/`false`/`0` turns it off. Batching changes
+/// scheduling only — output bytes are identical either way.
+pub fn apply_batch(args: &Args, default: bool) -> bool {
+    if !args.switch("batch") {
+        return default;
     }
-    dream_sim::exec::batch_enabled()
+    match args.value("batch") {
+        None | Some("on" | "true" | "1") => true,
+        Some("off" | "false" | "0") => false,
+        Some(other) => panic!("--batch expects on|off, got {other:?}"),
+    }
 }
 
-/// The workspace root (where `BENCH_campaigns.json` and `results/` live).
+/// The workspace root (where `results/` lives).
 pub fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }

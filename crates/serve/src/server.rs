@@ -83,6 +83,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use dream_sim::report::JsonlSink;
+use dream_sim::scenario::json::json_string;
 use dream_sim::scenario::{
     registry, CampaignRunner, CancelToken, EngineError, Scenario, Shard, ShardPlan, SinkFormat,
     SinkSpec,
@@ -960,25 +961,6 @@ fn shed_response(
         &[("Retry-After", &retry_after)],
         body.as_bytes(),
     )
-}
-
-/// Minimal JSON string escaping for error payloads.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn get_presets(stream: &mut TcpStream) -> io::Result<()> {

@@ -78,8 +78,14 @@ impl ScramblerAblation {
 }
 
 /// Runs the scrambling ablation: one physical die (fixed fault map), many
-/// runs, with and without logical-address re-randomization.
-pub fn scrambler_ablation(window: usize, voltage: f64, runs: usize) -> ScramblerAblation {
+/// runs, with and without logical-address re-randomization, on up to
+/// `threads` workers.
+pub fn scrambler_ablation(
+    window: usize,
+    voltage: f64,
+    runs: usize,
+    threads: usize,
+) -> ScramblerAblation {
     let app = AppKind::Dwt.instantiate(window);
     let geometry = banked_geometry(app.memory_words());
     let words = geometry.words();
@@ -95,6 +101,7 @@ pub fn scrambler_ablation(window: usize, voltage: f64, runs: usize) -> Scrambler
         .chain((0..runs).map(|r| Some(0xA5A5 + r as u64)))
         .collect();
     let snrs = exec::run_trials(
+        threads,
         &trials,
         || (),
         |(), &scramble_key, _| {
@@ -133,14 +140,21 @@ pub struct BerSensitivityPoint {
 ///
 /// Sweeps the paper's voltage grid under the date16 calibration; the
 /// scenario engine's `ablation` family uses [`ber_sensitivity_grid`] to
-/// honor a spec's own grid and calibration.
-pub fn ber_sensitivity(window: usize, runs: usize, slopes: &[f64]) -> Vec<BerSensitivityPoint> {
+/// honor a spec's own grid and calibration. Runs on up to `threads`
+/// workers.
+pub fn ber_sensitivity(
+    window: usize,
+    runs: usize,
+    slopes: &[f64],
+    threads: usize,
+) -> Vec<BerSensitivityPoint> {
     ber_sensitivity_grid(
         window,
         runs,
         slopes,
         &BerModel::paper_voltages(),
         &BerModel::date16(),
+        threads,
     )
 }
 
@@ -152,6 +166,7 @@ pub fn ber_sensitivity_grid(
     slopes: &[f64],
     voltages: &[f64],
     base: &BerModel,
+    threads: usize,
 ) -> Vec<BerSensitivityPoint> {
     let app = AppKind::Dwt.instantiate(window);
     let geometry = banked_geometry(app.memory_words());
@@ -185,7 +200,7 @@ pub fn ber_sensitivity_grid(
             FaultMap::empty(words, 22),
         )
     };
-    let snrs = exec::run_trials(&trials, scratch, |(mem, map), t, _| {
+    let snrs = exec::run_trials(threads, &trials, scratch, |(mem, map), t, _| {
         let ber = BerModel::new(nominal_v, log10_at_nominal, t.slope).ber(t.voltage);
         map.regenerate(ber, 0xBE5 + t.run as u64);
         mem.reset_with_fault_map(map);
@@ -280,7 +295,7 @@ mod tests {
 
     #[test]
     fn scrambling_restores_run_to_run_diversity() {
-        let ablation = scrambler_ablation(512, 0.55, 6);
+        let ablation = scrambler_ablation(512, 0.55, 6, 2);
         assert!(
             ablation.fixed_mapping_std() < 1e-9,
             "without re-scrambling every run must be identical"
@@ -294,7 +309,7 @@ mod tests {
 
     #[test]
     fn steeper_ber_slope_degrades_low_voltage_snr() {
-        let points = ber_sensitivity(512, 3, &[10.0, 16.0]);
+        let points = ber_sensitivity(512, 3, &[10.0, 16.0], 2);
         let at = |slope: f64, v: f64| {
             points
                 .iter()

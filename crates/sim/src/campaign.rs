@@ -9,7 +9,7 @@ use dream_dsp::{BiomedicalApp, WordStorage};
 use dream_ecg::{Database, Record};
 use dream_mem::{BatchFaultPlanes, FaultMap, MemGeometry, MAX_LANES};
 
-use crate::exec;
+use crate::exec::{self, ExecConfig};
 
 /// Maximum SNR reported by the harness (dB). Runs whose output matches the
 /// reference exactly (possible for the delineation app, whose fiducial
@@ -72,10 +72,28 @@ pub fn record_suite_with_noise(window: usize, max_records: usize, noise_scale: f
 }
 
 /// Double-precision reference outputs (`x_theo` of Formula 1) of `app`
-/// over `records`, computed once per campaign — in parallel across
-/// records — and then shared read-only by every trial.
+/// over `records`, on the environment's worker count
+/// ([`ExecConfig::from_env`]).
+///
+/// This two-argument form exists for the benchmark's engine mirror
+/// (`benchmark/src/mirror.rs`), which replays the engine's call sequence
+/// outside a `CampaignRunner`; it goes once ROADMAP item 5 shrinks the
+/// mirror. The engine calls `reference_outputs_on` with its campaign's
+/// own thread count.
 pub fn reference_outputs(app: &dyn BiomedicalApp, records: &[Record]) -> Vec<Vec<f64>> {
+    reference_outputs_on(ExecConfig::from_env().threads, app, records)
+}
+
+/// Double-precision reference outputs of `app` over `records`, computed
+/// once per campaign — in parallel across records on up to `threads`
+/// workers — and then shared read-only by every trial.
+pub(crate) fn reference_outputs_on(
+    threads: usize,
+    app: &dyn BiomedicalApp,
+    records: &[Record],
+) -> Vec<Vec<f64>> {
     exec::run_trials(
+        threads,
         records,
         || (),
         |(), record, _| app.run_reference(&record.samples),

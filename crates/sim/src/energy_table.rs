@@ -58,14 +58,16 @@ impl Default for EnergyConfig {
 /// Access counts and cycle counts do not depend on fault injection (the
 /// application executes the same loads and stores either way), so a single
 /// fault-free SoC run per EMT provides the statistics, which the energy
-/// model then prices at every voltage.
-pub fn run_energy_table(cfg: &EnergyConfig) -> Vec<EnergyRow> {
+/// model then prices at every voltage. The runs use up to `threads`
+/// workers.
+pub fn run_energy_table(cfg: &EnergyConfig, threads: usize) -> Vec<EnergyRow> {
     let record = Database::record(100, cfg.window);
     let app = cfg.app.instantiate(cfg.window);
     let bundle = EnergyModelBundle::date16();
     // One run per EMT captures (reads, writes, cycles); the EMTs are
     // independent, so they run as one small parallel campaign.
     let runs: Vec<(EmtKind, dream_soc::SocRun)> = exec::run_trials(
+        threads,
         &cfg.emts,
         || (),
         |(), &emt, _| {
@@ -175,7 +177,7 @@ mod tests {
     fn dream_cheaper_than_ecc_on_average() {
         // The paper's headline: DREAM's overhead (≈34 %) undercuts ECC's
         // (≈55 %) by ~21 points.
-        let rows = run_energy_table(&small());
+        let rows = run_energy_table(&small(), 2);
         let dream = average_overhead(&rows, EmtKind::Dream);
         let ecc = average_overhead(&rows, EmtKind::EccSecDed);
         assert!(dream < ecc, "DREAM {dream:.2} vs ECC {ecc:.2}");
@@ -188,7 +190,7 @@ mod tests {
 
     #[test]
     fn none_has_zero_overhead() {
-        let rows = run_energy_table(&small());
+        let rows = run_energy_table(&small(), 2);
         for r in rows.iter().filter(|r| r.emt == EmtKind::None) {
             assert!(r.overhead_vs_none.abs() < 1e-12);
         }
@@ -196,7 +198,7 @@ mod tests {
 
     #[test]
     fn energy_decreases_with_voltage() {
-        let rows = run_energy_table(&small());
+        let rows = run_energy_table(&small(), 2);
         for emt in EmtKind::paper_set() {
             let mut es: Vec<(f64, f64)> = rows
                 .iter()

@@ -19,15 +19,18 @@
 //! Aggregations stay bit-identical because floating-point reduction
 //! happens *after* the merge, in trial order.
 //!
-//! # Thread count
+//! # Execution settings
 //!
-//! Resolution order: the scoped [`with_ambient_threads`] binding (used by
-//! `CampaignRunner::threads`, so concurrent campaigns on different driver
-//! threads can each pin their own count) → explicit [`set_thread_override`]
-//! (used by the bench binaries' `--threads` flag and the determinism
-//! tests) → the `DREAM_THREADS` environment variable →
-//! `available_parallelism()`. A count of 1 reproduces the historical
-//! serial path exactly, worker scratch included.
+//! Three settings decide how a campaign runs — the worker count, trial
+//! batching, and the batched executor's bail-out fraction — and none of
+//! them changes an output byte. They travel as one plain [`ExecConfig`]
+//! value: [`ExecConfig::from_env`] reads `DREAM_THREADS`, `DREAM_BATCH`
+//! and `DREAM_BATCH_BAILOUT` once per campaign (`CampaignRunner::new`),
+//! the CLI flags and `CampaignRunner` builders override its fields, and
+//! the engine hands `threads` to every [`run_trials`] call. Nothing is
+//! process-global or thread-local, so concurrent campaigns with different
+//! settings cannot interfere. A thread count of 1 reproduces the
+//! historical serial path exactly, worker scratch included.
 //!
 //! # Cancellation
 //!
@@ -37,7 +40,6 @@
 //! vector. Because campaigns are deterministic, a cancelled campaign is
 //! resumed by re-running it and skipping the rows already emitted.
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -60,46 +62,42 @@ pub const BAILOUT_ENV: &str = "DREAM_BATCH_BAILOUT";
 /// passes cost more than scalar replays of the survivors.
 pub const DEFAULT_BAILOUT: f64 = 0.25;
 
-/// Process-wide thread-count override (0 = none). Takes precedence over
-/// [`THREADS_ENV`] so binaries and tests can pin the count without
-/// mutating the process environment.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide batching override (0 = none, 1 = off, 2 = on). Same
-/// precedence role as the thread override, for [`BATCH_ENV`].
-static BATCH_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sentinel bit pattern marking the bail-out override as unset (a NaN, so
-/// it can never collide with a valid fraction's bits).
-const BAILOUT_UNSET: u64 = u64::MAX;
-
-/// Process-wide bail-out-fraction override, stored as `f64` bits
-/// ([`BAILOUT_UNSET`] = none). Same precedence role as the others, for
-/// [`BAILOUT_ENV`].
-static BAILOUT_OVERRIDE: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(BAILOUT_UNSET);
-
-thread_local! {
-    /// Driver-thread-scoped worker count (0 = unset). Outranks the global
-    /// override: a server worker pinning its own campaign must not race
-    /// other campaigns through a process-wide atomic.
-    static AMBIENT_THREADS: Cell<usize> = const { Cell::new(0) };
-
-    /// Driver-thread-scoped batching toggle (0 = unset, 1 = off, 2 = on),
-    /// mirroring [`AMBIENT_THREADS`].
-    static AMBIENT_BATCH: Cell<usize> = const { Cell::new(0) };
-
-    /// Driver-thread-scoped bail-out fraction (`None` = unset), mirroring
-    /// [`AMBIENT_BATCH`].
-    static AMBIENT_BAILOUT: Cell<Option<f64>> = const { Cell::new(None) };
+/// How campaigns execute: the worker count, bit-sliced trial batching,
+/// and the batched executor's bail-out fraction.
+///
+/// None of the three is a model knob — output bytes are identical at
+/// every setting — so the value is resolved once, at the edge
+/// ([`ExecConfig::from_env`], then CLI flags or `CampaignRunner`
+/// builders), and passed explicitly down to [`run_trials`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ExecConfig {
+    /// Worker threads (1 = the serial path).
+    pub threads: usize,
+    /// Whether trials ride bit-sliced lane groups
+    /// (`dream_core::TrialBatch`) instead of running one by one.
+    pub batch: bool,
+    /// Alive-lane fraction (`0.0..=1.0`) below which a batched group
+    /// abandons its plane passes for scalar replays.
+    pub bailout: f64,
 }
 
-/// Panics unless `fraction` is a valid bail-out fraction.
-fn check_bailout(fraction: f64) {
-    assert!(
-        (0.0..=1.0).contains(&fraction),
-        "bail-out fraction must be in 0.0..=1.0, got {fraction}"
-    );
+impl ExecConfig {
+    /// The environment's settings: [`THREADS_ENV`] (default: available
+    /// parallelism), [`BATCH_ENV`] (default: on) and [`BAILOUT_ENV`]
+    /// (default: [`DEFAULT_BAILOUT`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the three variables is malformed — a typo
+    /// silently running another configuration would make benchmark A/Bs
+    /// lie.
+    pub fn from_env() -> ExecConfig {
+        ExecConfig {
+            threads: env_threads(),
+            batch: batch_enabled(),
+            bailout: batch_bailout(),
+        }
+    }
 }
 
 /// A shared flag requesting cooperative cancellation of a campaign.
@@ -141,129 +139,12 @@ impl fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// Runs `f` with the thread count pinned to `threads` on this thread (and
-/// every campaign it drives); `None` inherits the surrounding resolution.
-/// The previous binding is restored on exit, panic included.
-pub fn with_ambient_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
-    if let Some(n) = threads {
-        assert!(n > 0, "ambient thread count must be at least 1");
-    }
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    let prev = AMBIENT_THREADS.with(|c| {
-        let prev = c.get();
-        if let Some(n) = threads {
-            c.set(n);
-        }
-        prev
-    });
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Pins the worker count for all subsequent campaigns (`None` restores
-/// the environment/auto-detect resolution).
-///
-/// # Panics
-///
-/// Panics if `Some(0)` is passed — zero workers cannot run anything.
-pub fn set_thread_override(threads: Option<usize>) {
-    if let Some(n) = threads {
-        assert!(n > 0, "thread override must be at least 1");
-        THREAD_OVERRIDE.store(n, Ordering::SeqCst);
-    } else {
-        THREAD_OVERRIDE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Runs `f` with trial batching pinned on or off on this thread (and every
-/// campaign it drives); `None` inherits the surrounding resolution. The
-/// previous binding is restored on exit, panic included.
-pub fn with_ambient_batch<R>(batch: Option<bool>, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_BATCH.with(|c| c.set(self.0));
-        }
-    }
-    let prev = AMBIENT_BATCH.with(|c| {
-        let prev = c.get();
-        if let Some(on) = batch {
-            c.set(if on { 2 } else { 1 });
-        }
-        prev
-    });
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Pins trial batching on or off for all subsequent campaigns (`None`
-/// restores the environment resolution).
-pub fn set_batch_override(batch: Option<bool>) {
-    let encoded = match batch {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    BATCH_OVERRIDE.store(encoded, Ordering::SeqCst);
-}
-
-/// Runs `f` with the batched executor's bail-out fraction pinned on this
-/// thread (and every campaign it drives); `None` inherits the surrounding
-/// resolution. The previous binding is restored on exit, panic included.
-///
-/// # Panics
-///
-/// Panics if the fraction is outside `0.0..=1.0`.
-pub fn with_ambient_bailout<R>(fraction: Option<f64>, f: impl FnOnce() -> R) -> R {
-    if let Some(frac) = fraction {
-        check_bailout(frac);
-    }
-    struct Restore(Option<f64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_BAILOUT.with(|c| c.set(self.0));
-        }
-    }
-    let prev = AMBIENT_BAILOUT.with(|c| {
-        let prev = c.get();
-        if fraction.is_some() {
-            c.set(fraction);
-        }
-        prev
-    });
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Pins the bail-out fraction for all subsequent campaigns (`None`
-/// restores the environment resolution).
-///
-/// # Panics
-///
-/// Panics if the fraction is outside `0.0..=1.0`.
-pub fn set_bailout_override(fraction: Option<f64>) {
-    let encoded = match fraction {
-        None => BAILOUT_UNSET,
-        Some(frac) => {
-            check_bailout(frac);
-            frac.to_bits()
-        }
-    };
-    BAILOUT_OVERRIDE.store(encoded, Ordering::SeqCst);
-}
-
-/// Whether campaigns run right now batch their trials (ambient scope →
-/// override → [`BATCH_ENV`] → **on**).
+/// Whether [`BATCH_ENV`] enables trial batching (unset: **on**) — the
+/// env-edge parser behind [`ExecConfig::from_env`].
 ///
 /// Batching defaults on: with clean-trace derivation and per-lane map
-/// reuse it beats the scalar path on every `perf_baseline` preset that
-/// exercises it (the acceptance bar was ≥ 0.95×; set `DREAM_BATCH=0`
-/// to opt out).
+/// reuse it beats the scalar path on every workload that exercises it
+/// (set `DREAM_BATCH=0` to opt out).
 ///
 /// Batching is an execution strategy, not a model change: the engine's
 /// batched paths are bit-identical to the scalar paths by the divergence
@@ -275,26 +156,19 @@ pub fn set_bailout_override(fraction: Option<f64>) {
 /// `1`/`true`/`on`/`0`/`false`/`off` — a typo silently running the other
 /// path would make benchmark A/Bs lie.
 pub fn batch_enabled() -> bool {
-    let ambient = AMBIENT_BATCH.with(Cell::get);
-    if ambient > 0 {
-        return ambient == 2;
+    let Ok(raw) = std::env::var(BATCH_ENV) else {
+        return true;
+    };
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" => true,
+        "0" | "false" | "off" => false,
+        _ => panic!("{BATCH_ENV} must be one of 1/true/on/0/false/off, got {raw:?}"),
     }
-    let forced = BATCH_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced == 2;
-    }
-    if let Ok(raw) = std::env::var(BATCH_ENV) {
-        return match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" => false,
-            _ => panic!("{BATCH_ENV} must be one of 1/true/on/0/false/off, got {raw:?}"),
-        };
-    }
-    true
 }
 
-/// The adaptive bail-out fraction batched campaigns use right now
-/// (ambient scope → override → [`BAILOUT_ENV`] → [`DEFAULT_BAILOUT`]).
+/// The bail-out fraction [`BAILOUT_ENV`] selects (unset:
+/// [`DEFAULT_BAILOUT`]) — the env-edge parser behind
+/// [`ExecConfig::from_env`].
 ///
 /// Like batching itself, the bail-out is an execution strategy: bailed
 /// lanes are replayed on the scalar path, so the fraction may only affect
@@ -306,56 +180,41 @@ pub fn batch_enabled() -> bool {
 /// `0.0..=1.0` — a typo silently running a different bail-out policy
 /// would make benchmark A/Bs lie.
 pub fn batch_bailout() -> f64 {
-    if let Some(frac) = AMBIENT_BAILOUT.with(Cell::get) {
-        return frac;
-    }
-    let forced = BAILOUT_OVERRIDE.load(Ordering::SeqCst);
-    if forced != BAILOUT_UNSET {
-        return f64::from_bits(forced);
-    }
-    if let Ok(raw) = std::env::var(BAILOUT_ENV) {
-        let frac: f64 = raw
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{BAILOUT_ENV} must be a number in 0.0..=1.0, got {raw:?}"));
-        assert!(
-            (0.0..=1.0).contains(&frac),
-            "{BAILOUT_ENV} must be in 0.0..=1.0, got {raw:?}"
-        );
-        return frac;
-    }
-    DEFAULT_BAILOUT
+    let Ok(raw) = std::env::var(BAILOUT_ENV) else {
+        return DEFAULT_BAILOUT;
+    };
+    let frac: f64 = raw
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("{BAILOUT_ENV} must be a number in 0.0..=1.0, got {raw:?}"));
+    assert!(
+        (0.0..=1.0).contains(&frac),
+        "{BAILOUT_ENV} must be in 0.0..=1.0, got {raw:?}"
+    );
+    frac
 }
 
-/// The worker count campaigns will use right now (ambient scope →
-/// override → env → available parallelism; at least 1).
+/// The worker count [`THREADS_ENV`] selects (unset: available
+/// parallelism; at least 1).
 ///
 /// # Panics
 ///
 /// Panics if [`THREADS_ENV`] is set to something other than a positive
 /// integer — a typo silently falling back to all cores would be worse.
-pub fn thread_count() -> usize {
-    let ambient = AMBIENT_THREADS.with(Cell::get);
-    if ambient > 0 {
-        return ambient;
-    }
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        let n: usize = raw
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{THREADS_ENV} must be a positive integer, got {raw:?}"));
-        assert!(n > 0, "{THREADS_ENV} must be at least 1");
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+fn env_threads() -> usize {
+    let Ok(raw) = std::env::var(THREADS_ENV) else {
+        return std::thread::available_parallelism().map_or(1, |n| n.get());
+    };
+    let n: usize = raw
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("{THREADS_ENV} must be a positive integer, got {raw:?}"));
+    assert!(n > 0, "{THREADS_ENV} must be at least 1");
+    n
 }
 
-/// Runs every trial descriptor through `run`, in parallel, returning the
-/// results **in trial order**.
+/// Runs every trial descriptor through `run` on up to `threads` workers,
+/// returning the results **in trial order**.
 ///
 /// `scratch` builds one worker-local arena (reused app instances,
 /// protected memories, fault-map buffers) per worker thread; `run`
@@ -364,14 +223,14 @@ pub fn thread_count() -> usize {
 /// costs, while the order-restoring merge keeps the output independent of
 /// the schedule.
 ///
-/// With a resolved thread count of 1 (or at most one trial) everything
-/// runs inline on the caller's thread with a single arena — the exact
+/// With `threads` at most 1 (or at most one trial) everything runs inline on the caller's thread with a single arena — the exact
 /// historical serial path.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any trial.
 pub fn run_trials<T, C, R>(
+    threads: usize,
     trials: &[T],
     scratch: impl Fn() -> C + Sync,
     run: impl Fn(&mut C, &T, usize) -> R + Sync,
@@ -380,7 +239,7 @@ where
     T: Sync,
     R: Send,
 {
-    run_trials_cancellable(trials, scratch, run, None)
+    run_trials_cancellable(threads, trials, scratch, run, None)
         .expect("run without a cancel token cannot be cancelled")
 }
 
@@ -397,6 +256,7 @@ where
 ///
 /// Propagates a panic from any trial.
 pub fn run_trials_cancellable<T, C, R>(
+    threads: usize,
     trials: &[T],
     scratch: impl Fn() -> C + Sync,
     run: impl Fn(&mut C, &T, usize) -> R + Sync,
@@ -407,7 +267,7 @@ where
     R: Send,
 {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let workers = thread_count().min(trials.len().max(1));
+    let workers = threads.min(trials.len().max(1));
     if workers <= 1 {
         let mut arena = scratch();
         let mut out = Vec::with_capacity(trials.len());
@@ -464,33 +324,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that pin the global thread override.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        set_thread_override(Some(n));
-        let r = f();
-        set_thread_override(None);
-        r
-    }
 
     #[test]
     fn results_come_back_in_trial_order() {
         let trials: Vec<usize> = (0..257).collect();
         for threads in [1, 2, 5] {
-            let got = with_threads(threads, || {
-                run_trials(
-                    &trials,
-                    || 0u64,
-                    |_, &t, i| {
-                        assert_eq!(t, i);
-                        (t * 31) as u64
-                    },
-                )
-            });
+            let got = run_trials(
+                threads,
+                &trials,
+                || 0u64,
+                |_, &t, i| {
+                    assert_eq!(t, i);
+                    (t * 31) as u64
+                },
+            );
             let want: Vec<u64> = trials.iter().map(|&t| (t * 31) as u64).collect();
             assert_eq!(got, want, "{threads} threads");
         }
@@ -501,102 +348,23 @@ mod tests {
         // Each worker's arena counts the trials it served; the total must
         // cover every trial exactly once.
         let trials: Vec<u32> = (0..100).collect();
-        let served = with_threads(3, || {
-            run_trials(
-                &trials,
-                || 0usize,
-                |count, _, _| {
-                    *count += 1;
-                    *count
-                },
-            )
-        });
+        let served = run_trials(
+            3,
+            &trials,
+            || 0usize,
+            |count, _, _| {
+                *count += 1;
+                *count
+            },
+        );
         // Per-trial scratch counters are ≥ 1 and never exceed the trial count.
         assert!(served.iter().all(|&c| (1..=100).contains(&c)));
     }
 
     #[test]
     fn empty_trial_list_is_fine() {
-        let out: Vec<u8> = run_trials(&[] as &[u8], || (), |_, &t, _| t);
+        let out: Vec<u8> = run_trials(4, &[] as &[u8], || (), |_, &t, _| t);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn override_beats_environment() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        set_thread_override(Some(3));
-        assert_eq!(thread_count(), 3);
-        set_thread_override(None);
-        assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_override_rejected() {
-        set_thread_override(Some(0));
-    }
-
-    #[test]
-    fn ambient_threads_outrank_the_global_override() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        set_thread_override(Some(2));
-        assert_eq!(thread_count(), 2);
-        with_ambient_threads(Some(5), || {
-            assert_eq!(thread_count(), 5);
-            // None inherits the surrounding binding instead of clearing it.
-            with_ambient_threads(None, || assert_eq!(thread_count(), 5));
-        });
-        assert_eq!(thread_count(), 2, "binding must be restored on exit");
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn batch_resolution_mirrors_thread_resolution() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        // Default (no ambient, no override, env unset in the test
-        // harness): batching is ON.
-        assert!(batch_enabled());
-        set_batch_override(Some(true));
-        assert!(batch_enabled());
-        // Ambient outranks the override, in both directions.
-        with_ambient_batch(Some(false), || {
-            assert!(!batch_enabled());
-            // None inherits the surrounding binding instead of clearing it.
-            with_ambient_batch(None, || assert!(!batch_enabled()));
-            with_ambient_batch(Some(true), || assert!(batch_enabled()));
-        });
-        assert!(batch_enabled(), "binding must be restored on exit");
-        set_batch_override(Some(false));
-        assert!(!batch_enabled());
-        set_batch_override(None);
-        assert!(
-            batch_enabled(),
-            "clearing the override restores the default"
-        );
-    }
-
-    #[test]
-    fn bailout_resolution_mirrors_batch_resolution() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        // Default (no ambient, no override, env unset in the test harness).
-        assert_eq!(batch_bailout(), DEFAULT_BAILOUT);
-        set_bailout_override(Some(0.5));
-        assert_eq!(batch_bailout(), 0.5);
-        // Ambient outranks the override; None inherits.
-        with_ambient_bailout(Some(0.0), || {
-            assert_eq!(batch_bailout(), 0.0);
-            with_ambient_bailout(None, || assert_eq!(batch_bailout(), 0.0));
-            with_ambient_bailout(Some(1.0), || assert_eq!(batch_bailout(), 1.0));
-        });
-        assert_eq!(batch_bailout(), 0.5, "binding must be restored on exit");
-        set_bailout_override(None);
-        assert_eq!(batch_bailout(), DEFAULT_BAILOUT);
-    }
-
-    #[test]
-    #[should_panic(expected = "bail-out fraction must be in 0.0..=1.0")]
-    fn out_of_range_bailout_override_rejected() {
-        set_bailout_override(Some(2.0));
     }
 
     #[test]
@@ -605,37 +373,34 @@ mod tests {
         token.cancel();
         assert!(token.is_cancelled());
         for threads in [1, 3] {
-            let err = with_threads(threads, || {
-                run_trials_cancellable(
-                    &[1u8, 2, 3],
-                    || (),
-                    |_, &t, _| -> u8 { panic!("trial {t} ran after cancellation") },
-                    Some(&token),
-                )
-            });
+            let err = run_trials_cancellable(
+                threads,
+                &[1u8, 2, 3],
+                || (),
+                |_, &t, _| -> u8 { panic!("trial {t} ran after cancellation") },
+                Some(&token),
+            );
             assert_eq!(err, Err(Cancelled), "{threads} threads");
         }
     }
 
     #[test]
     fn cancelling_midway_stops_the_remaining_trials() {
-        use std::sync::atomic::AtomicUsize;
         let token = CancelToken::new();
         let ran = AtomicUsize::new(0);
         let trials: Vec<usize> = (0..1000).collect();
-        let err = with_threads(1, || {
-            run_trials_cancellable(
-                &trials,
-                || (),
-                |_, &t, _| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    if t == 4 {
-                        token.cancel();
-                    }
-                },
-                Some(&token),
-            )
-        });
+        let err = run_trials_cancellable(
+            1,
+            &trials,
+            || (),
+            |_, &t, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if t == 4 {
+                    token.cancel();
+                }
+            },
+            Some(&token),
+        );
         assert_eq!(err, Err(Cancelled));
         assert_eq!(ran.load(Ordering::SeqCst), 5, "serial path stops at once");
     }
@@ -643,10 +408,8 @@ mod tests {
     #[test]
     fn no_token_matches_run_trials_exactly() {
         let trials: Vec<usize> = (0..50).collect();
-        let plain = with_threads(2, || run_trials(&trials, || (), |_, &t, _| t * 7));
-        let cancellable = with_threads(2, || {
-            run_trials_cancellable(&trials, || (), |_, &t, _| t * 7, None)
-        });
+        let plain = run_trials(2, &trials, || (), |_, &t, _| t * 7);
+        let cancellable = run_trials_cancellable(2, &trials, || (), |_, &t, _| t * 7, None);
         assert_eq!(cancellable.as_deref(), Ok(plain.as_slice()));
     }
 }

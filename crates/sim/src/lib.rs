@@ -10,8 +10,8 @@
 //! | [`tradeoff`] | §VI-C — mixed-EMT voltage policy for a given output-degradation tolerance and its energy savings |
 //! | [`ablation`] | extensions: protected-bits census, address-scrambling ablation, BER-slope sensitivity, mask-supply ablation |
 //! | [`campaign`] | shared plumbing: seed discipline, the storage adapter onto protected memories, SNR capping, geometry/record-suite selection |
-//! | [`exec`] | the deterministic parallel trial executor behind every campaign (`DREAM_THREADS`, `DREAM_BATCH`, `DREAM_BATCH_BAILOUT`) |
-//! | [`telemetry`] | process-wide counters of the batched executor's economics (evictions, bail-outs, clean-pass replays) for `perf_baseline` trajectory entries |
+//! | [`exec`] | the deterministic parallel trial executor behind every campaign, and [`exec::ExecConfig`], its per-campaign settings (read once from `DREAM_THREADS`, `DREAM_BATCH`, `DREAM_BATCH_BAILOUT`) |
+//! | [`telemetry`] | process-wide counters of the batched executor's economics (evictions, bail-outs, clean-pass replays, stage resumes) that the benchmark reports per layer |
 //! | [`report`] | streaming row sinks (ASCII table, CSV, JSONL) for the `dream` CLI |
 //!
 //! The experiment functions are deterministic: every random choice derives

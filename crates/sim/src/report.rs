@@ -5,6 +5,8 @@
 use std::io::{self, Write};
 use std::path::Path;
 
+use crate::scenario::json::json_string;
+
 /// Renders an aligned ASCII table (header row + separator + data rows).
 ///
 /// ```
@@ -178,25 +180,6 @@ fn is_json_number(cell: &str) -> bool {
             !exp.is_empty() && exp.bytes().all(|b| b.is_ascii_digit())
         }
     }
-}
-
-/// Escapes a string for inclusion in a JSON document (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Streams rows as JSON Lines: one object per row keyed by the headers,

@@ -24,11 +24,11 @@ use dream_soc::{Soc, SocConfig};
 
 use crate::ablation;
 use crate::campaign::{
-    banked_geometry, cap_snr, fault_seed, record_suite_with_noise, reference_outputs, CleanTrace,
-    EmtMemory, RawTrace,
+    banked_geometry, cap_snr, fault_seed, record_suite_with_noise, reference_outputs_on,
+    CleanTrace, EmtMemory, RawTrace,
 };
 use crate::energy_table::{run_energy_table, EnergyConfig, EnergyRow};
-use crate::exec::{self, CancelToken};
+use crate::exec::{self, CancelToken, ExecConfig};
 use crate::fig4::Fig4Point;
 use crate::report::Sink;
 use crate::telemetry;
@@ -191,54 +191,27 @@ fn ensure_live(cancel: Option<&CancelToken>) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Runs a scenario, discarding the streamed rows (callers that only want
-/// the typed outcome).
-///
-/// # Errors
-///
-/// Returns [`EngineError::Spec`] when the spec fails validation.
-#[deprecated(
-    since = "0.6.0",
-    note = "drive campaigns through `scenario::CampaignRunner` (`CampaignRunner::new(sc).run_discarding()`)"
-)]
-pub fn run(sc: &Scenario) -> Result<ScenarioOutcome, EngineError> {
-    run_campaign(sc, &mut crate::report::NullSink, None)
-}
-
-/// Runs a scenario, streaming result rows to `sink` as grid points
-/// complete, and returns the full outcome.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Spec`] for invalid specs and
-/// [`EngineError::Io`] for sink failures.
-#[deprecated(
-    since = "0.6.0",
-    note = "drive campaigns through `scenario::CampaignRunner` (`CampaignRunner::new(sc).run(sink)`)"
-)]
-pub fn run_with_sink(sc: &Scenario, sink: &mut dyn Sink) -> Result<ScenarioOutcome, EngineError> {
-    run_campaign(sc, sink, None)
-}
-
 /// The engine's single entry point: validates, dispatches by
 /// (kind, grid) family, streams rows to `sink`, and polls `cancel`
-/// cooperatively. Public API surface is `scenario::CampaignRunner`, which
-/// adds thread pinning and progress instrumentation on top.
+/// cooperatively, executing every trial under `cfg`. Public API surface
+/// is `scenario::CampaignRunner`, which resolves `cfg` and adds progress
+/// instrumentation on top.
 pub(crate) fn run_campaign(
     sc: &Scenario,
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     sc.validate()?;
     ensure_live(cancel)?;
     match (&sc.kind, &sc.grid) {
-        (Kind::SnrSweep, Grid::BitPosition(bits)) => run_injection(sc, bits, sink, cancel),
-        (Kind::SnrSweep, Grid::Voltage(vs)) => run_voltage(sc, vs, sink, cancel),
-        (Kind::SnrSweep, Grid::NoiseScale(scales)) => run_noise(sc, scales, sink, cancel),
-        (Kind::EnergySweep, Grid::Voltage(vs)) => run_energy(sc, vs, sink, cancel),
-        (Kind::EnergySweep, Grid::MemoryWords(words)) => run_geometry(sc, words, sink, cancel),
-        (Kind::Tradeoff, Grid::Voltage(vs)) => run_tradeoff(sc, vs, sink, cancel),
-        (Kind::Ablation, Grid::Voltage(vs)) => run_ablation(sc, vs, sink, cancel),
+        (Kind::SnrSweep, Grid::BitPosition(bits)) => run_injection(sc, bits, sink, cfg, cancel),
+        (Kind::SnrSweep, Grid::Voltage(vs)) => run_voltage(sc, vs, sink, cfg, cancel),
+        (Kind::SnrSweep, Grid::NoiseScale(scales)) => run_noise(sc, scales, sink, cfg, cancel),
+        (Kind::EnergySweep, Grid::Voltage(vs)) => run_energy(sc, vs, sink, cfg, cancel),
+        (Kind::EnergySweep, Grid::MemoryWords(words)) => run_geometry(sc, words, sink, cfg, cancel),
+        (Kind::Tradeoff, Grid::Voltage(vs)) => run_tradeoff(sc, vs, sink, cfg, cancel),
+        (Kind::Ablation, Grid::Voltage(vs)) => run_ablation(sc, vs, sink, cfg, cancel),
         _ => unreachable!("validate() rejects incompatible kind/grid pairs"),
     }
 }
@@ -293,11 +266,9 @@ fn injection_snrs_batched(
     width: u32,
     records: &[Record],
     references: &[Vec<f64>],
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, exec::Cancelled> {
-    // Resolved on the driver thread: workers never see the caller's
-    // ambient (thread-local) bail-out binding.
-    let bailout = exec::batch_bailout();
     // One clean pass per record, shared by every lane group of this
     // (app, EMT): groups replay the trace instead of re-running the app.
     let passes: Vec<CleanPass> = {
@@ -337,6 +308,7 @@ fn injection_snrs_batched(
         (app, mem, map, planes, words)
     };
     let per_group = exec::run_trials_cancellable(
+        cfg.threads,
         &groups,
         scratch,
         |(app, mem, map, planes, words), group, _| {
@@ -349,7 +321,7 @@ fn injection_snrs_batched(
                 planes.inject(lane, word, t.bit, t.stuck);
             }
             let pass = &passes[record];
-            let mut batch = TrialBatch::with_bailout(group.len(), bailout);
+            let mut batch = TrialBatch::with_bailout(group.len(), cfg.bailout);
             let left_at = mem.replay_trace_staged(&pass.trace, planes, &mut batch, u64::MAX);
             let clean_snr = pass.snr;
             let bailed = batch.bailed().count_ones();
@@ -405,6 +377,7 @@ fn run_injection(
     sc: &Scenario,
     bits: &[u32],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let records = record_suite_with_noise(sc.window, sc.effective_records(), sc.noise_scale);
@@ -415,7 +388,7 @@ fn run_injection(
     let mut rendered = Vec::new();
     for &app_kind in &sc.apps {
         let app = app_kind.instantiate(sc.window);
-        let references = reference_outputs(&*app, &records);
+        let references = reference_outputs_on(cfg.threads, &*app, &records);
         for &emt in &sc.emts {
             // One batch per (app, EMT): the historical Fig. 2 nested-loop
             // order, flattened.
@@ -441,7 +414,7 @@ fn run_injection(
             } else {
                 SHARED_MAP_WIDTH
             };
-            let snrs = if exec::batch_enabled() {
+            let snrs = if cfg.batch {
                 injection_snrs_batched(
                     sc,
                     &trials,
@@ -450,6 +423,7 @@ fn run_injection(
                     width,
                     &records,
                     &references,
+                    cfg,
                     cancel,
                 )?
             } else {
@@ -462,6 +436,7 @@ fn run_injection(
                     (app, mem, map, words)
                 };
                 exec::run_trials_cancellable(
+                    cfg.threads,
                     &trials,
                     scratch,
                     |(app, mem, map, words), t, _| {
@@ -547,6 +522,7 @@ fn record_clean_passes(
     records: &[Record],
     references: &References,
     geometry: MemGeometry,
+    threads: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<CleanPasses, exec::Cancelled> {
     // Draw runs cycle the suite as `run % records.len()`, so a campaign
@@ -569,6 +545,7 @@ fn record_clean_passes(
         sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect()
     };
     let raws = exec::run_trials_cancellable(
+        threads,
         &pairs,
         scratch,
         |apps, &(ai, ri), _| RawTrace::record(&*apps[ai], &records[ri].samples, geometry.words()),
@@ -611,7 +588,8 @@ fn record_clean_passes(
 
 /// Point-invariant inputs of one Monte-Carlo draw batch: the resolved
 /// fault model, the calibration behind it, the record suite with its
-/// references, the shared geometry, and the campaign's cancel token.
+/// references, the shared geometry, and the campaign's execution settings
+/// and cancel token.
 struct DrawCtx<'a> {
     /// The point-resolved [`FaultModel`]
     /// ([`crate::scenario::FaultModelSpec::resolve`] at the point's
@@ -625,6 +603,7 @@ struct DrawCtx<'a> {
     /// Memoized clean passes (batched sweeps only; `None` on the scalar
     /// path, which recomputes nothing to begin with).
     clean: Option<&'a CleanPasses>,
+    cfg: ExecConfig,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -636,7 +615,7 @@ fn draw_point(
     point: usize,
     ctx: &DrawCtx,
 ) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    if exec::batch_enabled() {
+    if ctx.cfg.batch {
         return draw_point_batched(sc, point, ctx);
     }
     let DrawCtx {
@@ -646,6 +625,7 @@ fn draw_point(
         references,
         geometry,
         clean: _,
+        cfg,
         cancel,
     } = *ctx;
     let runs: Vec<usize> = (0..sc.trials).collect();
@@ -661,6 +641,7 @@ fn draw_point(
         (apps, mems, map)
     };
     exec::run_trials_cancellable(
+        cfg.threads,
         &runs,
         scratch,
         |(apps, mems, map), &run, _| {
@@ -731,11 +712,9 @@ fn draw_point_batched(
         references,
         geometry,
         clean,
+        cfg,
         cancel,
     } = *ctx;
-    // Resolved on the driver thread: workers never see the caller's
-    // ambient (thread-local) bail-out binding.
-    let bailout = exec::batch_bailout();
     let groups: Vec<Vec<usize>> = if clean.is_some() {
         // Trace replay feeds each lane exactly its own record's events
         // (masked sub-replays share one plane transposition), so lanes
@@ -783,6 +762,7 @@ fn draw_point_batched(
         (apps, mems, maps, empty, planes)
     };
     let per_group = exec::run_trials_cancellable(
+        cfg.threads,
         &groups,
         scratch,
         |(apps, mems, maps, empty, planes), group, _| {
@@ -812,7 +792,7 @@ fn draw_point_batched(
                 .collect();
             for (ei, mem) in mems.iter_mut().enumerate() {
                 for (ai, app) in apps.iter().enumerate() {
-                    let mut batch = TrialBatch::with_bailout(group.len(), bailout);
+                    let mut batch = TrialBatch::with_bailout(group.len(), cfg.bailout);
                     // Survivor baseline shared by every lane of a
                     // single-record group; `None` when traces carry it
                     // per record instead.
@@ -941,6 +921,7 @@ type References = Vec<Vec<Vec<f64>>>;
 fn draw_shared(
     sc: &Scenario,
     records: &[Record],
+    threads: usize,
 ) -> (Vec<Box<dyn BiomedicalApp>>, MemGeometry, References) {
     let apps: Vec<Box<dyn BiomedicalApp>> =
         sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
@@ -952,7 +933,7 @@ fn draw_shared(
     let geometry = banked_geometry(max_words);
     let references: Vec<Vec<Vec<f64>>> = apps
         .iter()
-        .map(|app| reference_outputs(&**app, records))
+        .map(|app| reference_outputs_on(threads, &**app, records))
         .collect();
     (apps, geometry, references)
 }
@@ -985,18 +966,20 @@ fn voltage_points(
     sc: &Scenario,
     voltages: &[f64],
     mut on_point: impl FnMut(&[Fig4Point]) -> io::Result<()>,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Fig4Point>, EngineError> {
     let records = record_suite_with_noise(sc.window, sc.effective_records(), sc.noise_scale);
-    let (_apps, geometry, references) = draw_shared(sc, &records);
+    let (_apps, geometry, references) = draw_shared(sc, &records, cfg.threads);
     // One clean pass per (EMT, app, record), shared by every voltage: each
     // additional grid point pays only faulty-delta work.
-    let clean = if exec::batch_enabled() {
+    let clean = if cfg.batch {
         Some(record_clean_passes(
             sc,
             &records,
             &references,
             geometry,
+            cfg.threads,
             cancel,
         )?)
     } else {
@@ -1016,6 +999,7 @@ fn voltage_points(
                 references: &references,
                 geometry,
                 clean: clean.as_ref(),
+                cfg,
                 cancel,
             },
         )?;
@@ -1041,6 +1025,7 @@ fn run_voltage(
     sc: &Scenario,
     voltages: &[f64],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     sink.begin(&FIG4_HEADERS)?;
@@ -1053,6 +1038,7 @@ fn run_voltage(
             rendered.extend(rows.iter().cloned());
             sink.emit(&rows)
         },
+        cfg,
         cancel,
     )?;
     sink.finish()?;
@@ -1068,6 +1054,7 @@ fn run_noise(
     sc: &Scenario,
     scales: &[f64],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let headers = vec![
@@ -1106,16 +1093,17 @@ fn run_noise(
             let records = record_suite_with_noise(sc.window, sc.effective_records(), scale);
             let references: References = apps
                 .iter()
-                .map(|app| reference_outputs(&**app, &records))
+                .map(|app| reference_outputs_on(cfg.threads, &**app, &records))
                 .collect();
             // Clean passes follow the suite: consecutive points at one
             // scale share them, like the references.
-            let clean = if exec::batch_enabled() {
+            let clean = if cfg.batch {
                 Some(record_clean_passes(
                     sc,
                     &records,
                     &references,
                     geometry,
+                    cfg.threads,
                     cancel,
                 )?)
             } else {
@@ -1134,6 +1122,7 @@ fn run_noise(
                 references,
                 geometry,
                 clean: clean.as_ref(),
+                cfg,
                 cancel,
             },
         )?;
@@ -1205,11 +1194,12 @@ fn run_energy(
     sc: &Scenario,
     voltages: &[f64],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     sink.begin(&ENERGY_HEADERS)?;
     ensure_live(cancel)?;
-    let rows = run_energy_table(&energy_config(sc, voltages));
+    let rows = run_energy_table(&energy_config(sc, voltages), cfg.threads);
     // Stream one batch per voltage (the table computes in one pass; the
     // batching keeps sink behaviour uniform across families).
     let mut rendered = Vec::new();
@@ -1231,6 +1221,7 @@ fn run_geometry(
     sc: &Scenario,
     words: &[usize],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let headers = vec![
@@ -1273,6 +1264,7 @@ fn run_geometry(
         .flat_map(|point| (0..sc.emts.len()).map(move |emt| Price { point, emt }))
         .collect();
     let runs = exec::run_trials_cancellable(
+        cfg.threads,
         &trials,
         || (),
         |(), t, _| {
@@ -1352,13 +1344,14 @@ fn run_tradeoff(
     sc: &Scenario,
     voltages: &[f64],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let headers = vec!["emt", "min_voltage", "savings"];
     sink.begin(&headers)?;
-    let points = voltage_points(sc, voltages, |_| Ok(()), cancel)?;
+    let points = voltage_points(sc, voltages, |_| Ok(()), cfg, cancel)?;
     ensure_live(cancel)?;
-    let energy = run_energy_table(&energy_config(sc, voltages));
+    let energy = run_energy_table(&energy_config(sc, voltages), cfg.threads);
     let tolerance = sc.tolerance_db.unwrap_or(1.0);
     let policies = explore(sc.apps[0], tolerance, &points, &energy);
     let rendered: Vec<Vec<String>> = policies
@@ -1393,6 +1386,7 @@ fn run_ablation(
     sc: &Scenario,
     voltages: &[f64],
     sink: &mut dyn Sink,
+    cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     /// Operating voltage of the scrambler study: deep in the faulty region.
@@ -1443,7 +1437,8 @@ fn run_ablation(
     // call `run_trials` through the ablation module, so cancellation here
     // is polled at study granularity.)
     ensure_live(cancel)?;
-    let scrambler = ablation::scrambler_ablation(sc.window, SCRAMBLER_VOLTAGE, sc.trials);
+    let scrambler =
+        ablation::scrambler_ablation(sc.window, SCRAMBLER_VOLTAGE, sc.trials, cfg.threads);
     let mut batch = Vec::new();
     for (series, snrs) in [
         ("fixed", &scrambler.fixed_mapping_snrs),
@@ -1470,6 +1465,7 @@ fn run_ablation(
         &sc.ber_slopes,
         voltages,
         &sc.fault.to_model(),
+        cfg.threads,
     );
     let batch: Vec<AblationRow> = points
         .iter()
@@ -1591,13 +1587,9 @@ mod tests {
     use crate::report::{CsvSink, JsonlSink, TableSink};
     use crate::scenario::registry;
     use crate::scenario::runner::CampaignRunner;
-    use std::sync::Mutex;
 
-    /// Serializes tests that pin the global thread override.
-    static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Local stand-ins for the deprecated free functions: every engine
-    /// test drives campaigns through the public `CampaignRunner` surface.
+    /// Every engine test drives campaigns through the public
+    /// `CampaignRunner` surface.
     fn run(sc: &Scenario) -> Result<ScenarioOutcome, EngineError> {
         CampaignRunner::new(sc.clone()).run_discarding()
     }
@@ -1699,13 +1691,15 @@ mod tests {
 
     #[test]
     fn engine_output_is_thread_count_invariant() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         let sc = tiny_noise();
-        exec::set_thread_override(Some(1));
-        let serial = run(&sc).unwrap();
-        exec::set_thread_override(Some(4));
-        let parallel = run(&sc).unwrap();
-        exec::set_thread_override(None);
+        let at = |threads| {
+            CampaignRunner::new(sc.clone())
+                .threads(threads)
+                .run_discarding()
+                .unwrap()
+        };
+        let serial = at(1);
+        let parallel = at(4);
         assert_eq!(serial.rows, parallel.rows);
         assert_eq!(serial.data, parallel.data);
     }

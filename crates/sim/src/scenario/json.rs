@@ -144,7 +144,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(&format_number(*n)),
-            Json::Str(s) => out.push_str(&crate::report::json_string(s)),
+            Json::Str(s) => out.push_str(&json_string(s)),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -186,7 +186,7 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&crate::report::json_string(k));
+                    out.push_str(&json_string(k));
                     out.push_str(": ");
                     v.write(out, indent + 1);
                     if i + 1 < fields.len() {
@@ -199,6 +199,27 @@ impl Json {
             }
         }
     }
+}
+
+/// Escapes a string as a JSON string literal (quotes included) — the one
+/// string encoder behind [`Json`] documents, JSONL rows and the campaign
+/// service's payloads.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Formats a finite number the shortest way that round-trips (integers

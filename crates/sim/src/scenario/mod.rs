@@ -17,7 +17,8 @@
 //!   [`crate::exec::run_trials`] executor, streaming rows to any
 //!   [`crate::report::Sink`] as grid points complete;
 //! * [`runner`] — the [`CampaignRunner`] builder every driver (CLI,
-//!   campaign service, tests) goes through: per-campaign thread pinning,
+//!   campaign service, tests) goes through: per-campaign execution
+//!   settings ([`crate::exec::ExecConfig`]),
 //!   [`Progress`] events, [`CancelToken`] cancellation, and
 //!   resume-by-skipping.
 //!
@@ -49,8 +50,6 @@ pub mod runner;
 pub mod shard;
 pub mod spec;
 
-#[allow(deprecated)]
-pub use engine::{run, run_with_sink};
 pub use engine::{
     AblationRow, EngineError, GeometryEnergyRow, InjectionRow, NoisePoint, OutcomeData,
     ScenarioOutcome,

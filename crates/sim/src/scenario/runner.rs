@@ -1,10 +1,12 @@
 //! [`CampaignRunner`]: the one surface every campaign driver goes
 //! through — the CLI, the campaign service, and tests alike.
 //!
-//! The engine's free functions grew knobs in incompatible places: thread
-//! counts lived in a process-global override, there was no way to observe
-//! a long campaign mid-flight, and nothing could stop one. The builder
-//! carries all three per campaign:
+//! The builder carries everything that shapes one execution but not its
+//! rows: the [`ExecConfig`] (worker count, batching, bail-out — read from
+//! the environment once in [`CampaignRunner::new`], then overridden by
+//! [`threads`](CampaignRunner::threads), [`batch`](CampaignRunner::batch)
+//! and [`bailout`](CampaignRunner::bailout)), progress events,
+//! cancellation, and resume-by-skipping:
 //!
 //! ```
 //! use dream_sim::report::NullSink;
@@ -20,15 +22,15 @@
 //! ```
 //!
 //! Determinism is untouched: the runner only wraps the sink (to count and
-//! optionally skip rows) and scopes the thread count to the driving
-//! thread, so output stays bit-identical to the engine's at any thread
-//! count. `skip_rows` + [`crate::report::JsonlSink::append`] is the
-//! resume story — re-run the (deterministic) campaign and drop the prefix
-//! already on disk.
+//! optionally skip rows) and passes its config explicitly to the engine,
+//! so output stays bit-identical at any setting, and concurrent campaigns
+//! with different settings cannot interfere. `skip_rows` +
+//! [`crate::report::JsonlSink::append`] is the resume story — re-run the
+//! (deterministic) campaign and drop the prefix already on disk.
 
 use std::io;
 
-use crate::exec::{self, CancelToken};
+use crate::exec::{CancelToken, ExecConfig};
 use crate::report::{NullSink, Sink};
 
 use super::engine::{self, EngineError, ScenarioOutcome};
@@ -51,35 +53,35 @@ pub struct Progress {
 type ProgressFn = dyn Fn(Progress) + Send + Sync;
 
 /// Builder for one campaign execution: spec in, rows out, with per-run
-/// thread pinning, progress events, cooperative cancellation, and
+/// execution settings, progress events, cooperative cancellation, and
 /// resume-by-skipping.
 pub struct CampaignRunner {
     spec: Scenario,
-    threads: Option<usize>,
-    batch: Option<bool>,
-    bailout: Option<f64>,
+    exec: ExecConfig,
     cancel: Option<CancelToken>,
     on_progress: Option<Box<ProgressFn>>,
     skip_rows: usize,
 }
 
 impl CampaignRunner {
-    /// A runner for `spec` with default settings: inherited thread
-    /// resolution, no progress callback, not cancellable, no skipping.
+    /// A runner for `spec` with default settings: the environment's
+    /// [`ExecConfig::from_env`], no progress callback, not cancellable, no
+    /// skipping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `DREAM_*` execution variable is malformed.
     pub fn new(spec: Scenario) -> CampaignRunner {
         CampaignRunner {
             spec,
-            threads: None,
-            batch: None,
-            bailout: None,
+            exec: ExecConfig::from_env(),
             cancel: None,
             on_progress: None,
             skip_rows: 0,
         }
     }
 
-    /// Pins the worker count for this campaign only (scoped to the
-    /// driving thread — concurrent campaigns don't race).
+    /// Sets the worker count of this campaign, overriding `DREAM_THREADS`.
     ///
     /// # Panics
     ///
@@ -87,23 +89,21 @@ impl CampaignRunner {
     #[must_use]
     pub fn threads(mut self, n: usize) -> CampaignRunner {
         assert!(n > 0, "thread count must be at least 1");
-        self.threads = Some(n);
+        self.exec.threads = n;
         self
     }
 
-    /// Pins bit-sliced trial batching on or off for this campaign only
-    /// (scoped to the driving thread, like [`CampaignRunner::threads`]),
-    /// overriding the `DREAM_BATCH` environment default. Batching changes
-    /// scheduling, never values: output is bit-identical either way.
+    /// Turns bit-sliced trial batching on or off for this campaign,
+    /// overriding `DREAM_BATCH`. Batching changes scheduling, never
+    /// values: output is bit-identical either way.
     #[must_use]
     pub fn batch(mut self, enabled: bool) -> CampaignRunner {
-        self.batch = Some(enabled);
+        self.exec.batch = enabled;
         self
     }
 
-    /// Pins the batched executor's adaptive bail-out fraction for this
-    /// campaign only (scoped to the driving thread), overriding the
-    /// `DREAM_BATCH_BAILOUT` environment default. Like batching itself,
+    /// Sets the batched executor's adaptive bail-out fraction for this
+    /// campaign, overriding `DREAM_BATCH_BAILOUT`. Like batching itself,
     /// the fraction changes scheduling, never values — output is
     /// bit-identical at any setting.
     ///
@@ -116,7 +116,7 @@ impl CampaignRunner {
             (0.0..=1.0).contains(&fraction),
             "bail-out fraction must be in 0.0..=1.0, got {fraction}"
         );
-        self.bailout = Some(fraction);
+        self.exec.bailout = fraction;
         self
     }
 
@@ -178,13 +178,12 @@ impl CampaignRunner {
             },
             on_progress: self.on_progress.as_deref(),
         };
-        let result = exec::with_ambient_bailout(self.bailout, || {
-            exec::with_ambient_batch(self.batch, || {
-                exec::with_ambient_threads(self.threads, || {
-                    engine::run_campaign(&self.spec, &mut instrumented, self.cancel.as_ref())
-                })
-            })
-        });
+        let result = engine::run_campaign(
+            &self.spec,
+            &mut instrumented,
+            self.exec,
+            self.cancel.as_ref(),
+        );
         if matches!(result, Err(EngineError::Cancelled)) {
             let _ = instrumented.inner.finish();
         }
@@ -206,9 +205,7 @@ impl std::fmt::Debug for CampaignRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignRunner")
             .field("spec", &self.spec.name)
-            .field("threads", &self.threads)
-            .field("batch", &self.batch)
-            .field("bailout", &self.bailout)
+            .field("exec", &self.exec)
             .field("cancellable", &self.cancel.is_some())
             .field("skip_rows", &self.skip_rows)
             .finish()

@@ -10,6 +10,7 @@
 use dream_suite::core::EmtKind;
 use dream_suite::dsp::AppKind;
 use dream_suite::sim::energy_table::{run_energy_table, EnergyConfig};
+use dream_suite::sim::exec::ExecConfig;
 use dream_suite::sim::fig4::{curve, run_fig4, Fig4Config};
 use dream_suite::sim::report;
 
@@ -51,11 +52,14 @@ fn main() {
         apps: vec![app],
         ..Default::default()
     });
-    let energy = run_energy_table(&EnergyConfig {
-        app,
-        window,
-        ..Default::default()
-    });
+    let energy = run_energy_table(
+        &EnergyConfig {
+            app,
+            window,
+            ..Default::default()
+        },
+        ExecConfig::from_env().threads,
+    );
 
     let emts = EmtKind::paper_set();
     let mut table = Vec::new();

@@ -1,41 +1,57 @@
 //! The campaign executor's contract: output is bit-identical whatever the
-//! worker count, and the flattened trial indexing never makes two trials
-//! share a fault seed.
+//! worker count or batching strategy — also for campaigns running side by
+//! side with different settings — and the flattened trial indexing never
+//! makes two trials share a fault seed.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use dream_suite::dsp::AppKind;
 use dream_suite::sim::campaign::fault_seed;
 use dream_suite::sim::exec;
-use dream_suite::sim::fig2::{run_fig2, Fig2Config};
-use dream_suite::sim::fig4::{run_fig4, Fig4Config};
+use dream_suite::sim::fig2::Fig2Config;
+use dream_suite::sim::fig4::Fig4Config;
+use dream_suite::sim::report::JsonlSink;
+use dream_suite::sim::scenario::{CampaignRunner, OutcomeData, Scenario};
 use proptest::prelude::*;
 
-/// Serializes tests that pin the process-wide thread override.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    exec::set_thread_override(Some(n));
-    let r = f();
-    exec::set_thread_override(None);
-    r
-}
-
-/// `DREAM_THREADS=1` and `DREAM_THREADS=4` must yield the same `Fig2Row`s
-/// down to the last mantissa bit: same rows, same order, exact f64
-/// equality (not approximate).
-#[test]
-fn fig2_rows_identical_serial_vs_parallel() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-    let cfg = Fig2Config {
+fn fig2_cfg() -> Fig2Config {
+    Fig2Config {
         window: 512,
         records: 2,
         apps: vec![AppKind::Dwt, AppKind::CompressedSensing],
         fault_trials: 2,
+    }
+}
+
+fn fig4_cfg() -> Fig4Config {
+    Fig4Config {
+        window: 512,
+        runs: 5,
+        voltages: vec![0.5, 0.7, 0.9],
+        apps: vec![AppKind::Dwt],
+        ..Default::default()
+    }
+}
+
+fn outcome_at(sc: &Scenario, threads: usize) -> OutcomeData {
+    CampaignRunner::new(sc.clone())
+        .threads(threads)
+        .run_discarding()
+        .expect("campaign runs")
+        .data
+}
+
+/// One and four workers must yield the same Fig. 2 rows down to the last
+/// mantissa bit: same rows, same order, exact f64 equality (not
+/// approximate).
+#[test]
+fn fig2_rows_identical_serial_vs_parallel() {
+    let sc = fig2_cfg().to_scenario();
+    let rows = |threads| match outcome_at(&sc, threads) {
+        OutcomeData::Injection(rows) => rows,
+        other => panic!("injection rows expected, got {other:?}"),
     };
-    let serial = with_threads(1, || run_fig2(&cfg));
-    let parallel = with_threads(4, || run_fig2(&cfg));
+    let (serial, parallel) = (rows(1), rows(4));
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.app, p.app);
@@ -58,16 +74,12 @@ fn fig2_rows_identical_serial_vs_parallel() {
 /// fields that fold over runs.
 #[test]
 fn fig4_points_identical_serial_vs_parallel() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-    let cfg = Fig4Config {
-        window: 512,
-        runs: 5,
-        voltages: vec![0.5, 0.7, 0.9],
-        apps: vec![AppKind::Dwt],
-        ..Default::default()
+    let sc = fig4_cfg().to_scenario();
+    let points = |threads| match outcome_at(&sc, threads) {
+        OutcomeData::Fig4(points) => points,
+        other => panic!("Fig. 4 points expected, got {other:?}"),
     };
-    let serial = with_threads(1, || run_fig4(&cfg));
-    let parallel = with_threads(4, || run_fig4(&cfg));
+    let (serial, parallel) = (points(1), points(4));
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.app, p.app);
@@ -83,38 +95,46 @@ fn fig4_points_identical_serial_vs_parallel() {
     }
 }
 
-/// With no override pinned, `thread_count` resolves through the
-/// `DREAM_THREADS` environment variable (CI runs this suite with
-/// `DREAM_THREADS=2` to exercise exactly this path).
+/// Execution settings are scoped to their campaign: two campaigns running
+/// *at the same time* on two driver threads — one serial and scalar, one
+/// on two workers, batched, bailing out on the first eviction — stream
+/// byte-identical JSONL, with no lock serializing them.
 #[test]
-fn thread_count_honors_environment() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-    exec::set_thread_override(None);
-    // Whatever the ambient variable says must be what campaigns get…
-    if let Ok(raw) = std::env::var(exec::THREADS_ENV) {
-        let expect: usize = raw.trim().parse().expect("DREAM_THREADS is an integer");
-        assert_eq!(exec::thread_count(), expect);
-    }
-    // …and an explicit value must round-trip through the resolution path.
-    let ambient = std::env::var(exec::THREADS_ENV).ok();
-    std::env::set_var(exec::THREADS_ENV, "3");
-    assert_eq!(exec::thread_count(), 3);
-    match ambient {
-        Some(v) => std::env::set_var(exec::THREADS_ENV, v),
-        None => std::env::remove_var(exec::THREADS_ENV),
+fn concurrent_campaigns_keep_their_own_settings() {
+    for sc in [fig2_cfg().to_scenario(), fig4_cfg().to_scenario()] {
+        let jsonl = |runner: CampaignRunner| {
+            let mut sink = JsonlSink::new(Vec::new());
+            runner.run(&mut sink).expect("campaign runs");
+            String::from_utf8(sink.into_inner()).expect("utf-8 rows")
+        };
+        let (scalar, batched) = std::thread::scope(|s| {
+            let scalar = s.spawn(|| jsonl(CampaignRunner::new(sc.clone()).threads(1).batch(false)));
+            let batched = s.spawn(|| {
+                jsonl(
+                    CampaignRunner::new(sc.clone())
+                        .threads(2)
+                        .batch(true)
+                        .bailout(1.0),
+                )
+            });
+            (scalar.join().unwrap(), batched.join().unwrap())
+        });
+        assert!(!scalar.is_empty(), "{}", sc.name);
+        assert_eq!(
+            scalar, batched,
+            "{}: settings must not change bytes",
+            sc.name
+        );
     }
 }
 
 /// The executor preserves trial order regardless of the schedule.
 #[test]
 fn executor_results_stay_in_trial_order() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
     let trials: Vec<u64> = (0..503).collect();
     let expect: Vec<u64> = trials.iter().map(|t| t.wrapping_mul(0x9E37)).collect();
     for threads in [1, 2, 4, 7] {
-        let got = with_threads(threads, || {
-            exec::run_trials(&trials, || (), |(), &t, _| t.wrapping_mul(0x9E37))
-        });
+        let got = exec::run_trials(threads, &trials, || (), |(), &t, _| t.wrapping_mul(0x9E37));
         assert_eq!(got, expect, "{threads} threads");
     }
 }

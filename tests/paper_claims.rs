@@ -10,6 +10,7 @@ use dream_suite::mem::{BerModel, StuckAt};
 use dream_suite::sim::energy_table::{
     area_table, average_overhead, ecc_vs_dream_area, run_energy_table, EnergyConfig,
 };
+use dream_suite::sim::exec::ExecConfig;
 use dream_suite::sim::fig2::{cs_tolerance, run_fig2, Fig2Config};
 use dream_suite::sim::fig4::{curve, run_fig4, Fig4Config};
 use dream_suite::sim::tradeoff::explore;
@@ -28,7 +29,7 @@ fn fig4_small(apps: Vec<AppKind>, runs: usize) -> Vec<dream_suite::sim::fig4::Fi
 /// ≈ +34 %, gap ≈ 21 points.
 #[test]
 fn claim_energy_overheads() {
-    let rows = run_energy_table(&EnergyConfig::default());
+    let rows = run_energy_table(&EnergyConfig::default(), ExecConfig::from_env().threads);
     let dream = average_overhead(&rows, EmtKind::Dream);
     let ecc = average_overhead(&rows, EmtKind::EccSecDed);
     assert!((0.25..0.45).contains(&dream), "DREAM overhead {dream:.3}");
@@ -163,10 +164,13 @@ fn claim_fig4_crossover() {
 #[test]
 fn claim_tradeoff_regimes() {
     let points = fig4_small(vec![AppKind::Dwt], 12);
-    let energy = run_energy_table(&EnergyConfig {
-        window: 512,
-        ..Default::default()
-    });
+    let energy = run_energy_table(
+        &EnergyConfig {
+            window: 512,
+            ..Default::default()
+        },
+        ExecConfig::from_env().threads,
+    );
     let policies = explore(AppKind::Dwt, 1.0, &points, &energy);
     let min_v = |emt: EmtKind| {
         policies

@@ -221,24 +221,3 @@ fn append_jsonl_sink_accumulates_rows_across_runs() {
     bad.sink.out = Some(dir.display().to_string());
     bad.validate().expect("append+jsonl+out is valid");
 }
-
-/// The deprecated free functions must stay working shims over the runner
-/// until their removal release.
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_shims_match_the_runner() {
-    let sc = tiny("noise-sweep");
-    let via_shim = dream_suite::sim::scenario::run(&sc).expect("shim runs");
-    let via_runner = CampaignRunner::new(sc.clone())
-        .run_discarding()
-        .expect("runner runs");
-    assert_eq!(via_shim.rows, via_runner.rows);
-
-    let mut shim_sink = CsvSink::new(Vec::new());
-    dream_suite::sim::scenario::run_with_sink(&sc, &mut shim_sink).expect("shim sink run");
-    let mut runner_sink = CsvSink::new(Vec::new());
-    CampaignRunner::new(sc)
-        .run(&mut runner_sink)
-        .expect("runner sink run");
-    assert_eq!(shim_sink.into_inner(), runner_sink.into_inner());
-}
