@@ -64,7 +64,7 @@ fn bench_plane_overlay(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_overlay");
     const WORDS: usize = 4096;
     // A faulty address (one injected cell per lane) and a clean one: the
-    // two costs `FaultySram::read_batch` pays in a campaign.
+    // two costs `CleanTrace` replay pays per event in a campaign.
     let mut faulty = BatchFaultPlanes::new(WORDS, 22);
     for lane in 0..64 {
         faulty.inject(lane, 7, (lane % 22) as u32, StuckAt::One);

@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! cargo run --release -p dream-bench --bin all [--list] [--smoke]
-//!     [--threads N] [--format csv|jsonl|table] [--out DIR]
+//!     [--threads N] [--sink table|csv:DIR|jsonl:DIR[,append]]
 //! ```
 //!
 //! `--list` prints the registry and exits. Defaults reproduce the paper's
-//! scale and drop one CSV per scenario into `results/`; `--smoke` runs the
-//! reduced variants in seconds.
+//! scale and drop one CSV per scenario into `results/` (`--sink
+//! csv:results`); `--smoke` runs the reduced variants in seconds.
 
 use dream_bench::{cli, results_dir, Args};
 
@@ -19,13 +19,12 @@ fn main() {
         return;
     }
     let names = dream_sim::scenario::registry::names();
-    // Default artifact location/format mirror the historical binaries.
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if base.value("out").is_none() {
-        raw.extend(["--out".to_string(), results_dir().display().to_string()]);
-    }
-    if base.value("format").is_none() {
-        raw.extend(["--format".to_string(), "csv".to_string()]);
+    if base.value("sink").is_none() {
+        raw.extend([
+            "--sink".to_string(),
+            format!("csv:{}", results_dir().display()),
+        ]);
     }
     let args = Args::parse(raw.into_iter());
     let mut summaries = Vec::new();

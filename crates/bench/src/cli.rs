@@ -23,8 +23,8 @@
 //! complete; with a `DIR` sink they stream to
 //! `DIR/<scenario>.<csv|jsonl|txt>` and an aligned table still prints to
 //! stdout. `--sink` uses the same grammar as the campaign service's sink
-//! negotiation ([`dream_sim::scenario::SinkSpec::parse`]); the historical
-//! `--format`/`--out`/`--append` spellings remain as aliases.
+//! negotiation ([`dream_sim::scenario::SinkSpec::parse`]); the retired
+//! `--format`/`--out`/`--append` spellings panic with a pointer to it.
 //!
 //! `spec` prints the fully resolved scenario JSON — the exact payload to
 //! `POST /campaigns` on a `dream serve` instance. `fetch` POSTs that
@@ -40,10 +40,6 @@
 //! the artifact store (`--store DIR`, default `results/store`). The
 //! process exits non-zero on any mismatch, so scripted equivalence checks
 //! (batched vs scalar runs, resumed vs clean artifacts) can gate on it.
-//!
-//! The historical per-figure binaries (`fig2`, `fig4`, `energy`,
-//! `tradeoff`, `ablation`) are shims over [`legacy_shim`], which maps
-//! their original flags onto the same path.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -79,6 +75,7 @@ pub fn main_from_env() {
             let target = args
                 .positional(1)
                 .unwrap_or_else(|| panic!("usage: dream spec <scenario|spec.json> [flags]"));
+            reject_retired_sink_flags(&args, &["format", "out", "append"]);
             let mut sc = resolve(target, args.switch("smoke"));
             apply_overrides(&mut sc, &args);
             sc.validate()
@@ -119,6 +116,8 @@ pub fn main_from_env() {
 /// Submits a campaign through the retrying client and streams its rows
 /// to stdout or `--out FILE`, surviving sheds and broken streams.
 fn fetch(target: &str, args: &Args) {
+    // `--out FILE` is fetch's own flag: the path of the fetched artifact.
+    reject_retired_sink_flags(args, &["format", "append"]);
     let addr = args.value("addr").unwrap_or("127.0.0.1:7163").to_string();
     let mut sc = resolve(target, args.switch("smoke"));
     apply_overrides(&mut sc, args);
@@ -343,6 +342,14 @@ fn resolve(target: &str, smoke: bool) -> Scenario {
     Scenario::from_json(&text).unwrap_or_else(|e| panic!("bad spec file {target:?}: {e}"))
 }
 
+/// Panics on any of `flags`, the sink spellings `--sink` replaced, so a
+/// retired flag fails loudly instead of being silently ignored.
+fn reject_retired_sink_flags(args: &Args, flags: &[&str]) {
+    if let Some(flag) = flags.iter().find(|f| args.switch(f)) {
+        panic!("--{flag} is retired: use --sink table|csv:DIR|jsonl:DIR[,append]");
+    }
+}
+
 /// Applies the CLI's override flags onto a resolved scenario.
 fn apply_overrides(sc: &mut Scenario, args: &Args) {
     if let Some(w) = args.value("window") {
@@ -382,18 +389,6 @@ fn apply_overrides(sc: &mut Scenario, args: &Args) {
     }
     if let Some(token) = args.value("fault-model") {
         sc.fault.model = parse_fault_model(token);
-    }
-    // Legacy sink spellings first, so the consolidated `--sink` wins when
-    // both are given.
-    if let Some(f) = args.value("format") {
-        sc.sink.format = SinkFormat::from_token(f)
-            .unwrap_or_else(|| panic!("unknown --format {f:?} (table|csv|jsonl)"));
-    }
-    if let Some(o) = args.value("out") {
-        sc.sink.out = Some(o.to_string());
-    }
-    if args.switch("append") {
-        sc.sink.append = true;
     }
     if let Some(token) = args.value("sink") {
         sc.sink = SinkSpec::parse(token).unwrap_or_else(|e| panic!("--sink: {e}"));
@@ -440,6 +435,7 @@ fn parse_fault_model(token: &str) -> FaultModelSpec {
 /// Runs a resolved target with the standard flag vocabulary and prints
 /// the outcome. Returns the outcome for callers that post-process.
 pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
+    reject_retired_sink_flags(args, &["format", "out", "append"]);
     let mut sc = resolve(target, args.switch("smoke"));
     apply_overrides(&mut sc, args);
     let env = ExecConfig::from_env();
@@ -577,61 +573,6 @@ fn execute(sc: &Scenario, exec: ExecConfig, progress: bool) -> ScenarioOutcome {
     outcome
 }
 
-/// Entry point of the historical per-figure binaries: maps their original
-/// flag vocabulary onto `dream run <preset> --format csv --out results/`,
-/// preserving the CSV artifact location and the stdout table.
-pub fn legacy_shim(preset: &str) {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let base = Args::parse(raw.iter().cloned());
-    // `energy --area` printed the codec area table only; keep that exit.
-    if preset == "energy" && base.switch("area") {
-        print_area_table();
-        return;
-    }
-    // Historical defaults: CSV artifact in results/, table on stdout.
-    if base.value("out").is_none() {
-        raw.extend([
-            "--out".to_string(),
-            crate::results_dir().display().to_string(),
-        ]);
-    }
-    if base.value("format").is_none() {
-        raw.extend(["--format".to_string(), "csv".to_string()]);
-    }
-    run(preset, &Args::parse(raw.into_iter()));
-}
-
-/// The §VI-B codec area table (the `energy --area` fast path).
-fn print_area_table() {
-    use dream_sim::energy_table::{area_table, ecc_vs_dream_area};
-    let area_rows = area_table(&dream_core::EmtKind::paper_set());
-    println!("\n§VI-B — codec area (gate equivalents) and redundancy");
-    let table: Vec<Vec<String>> = area_rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.emt.to_string(),
-                format!("{:.1}", r.encoder_ge),
-                format!("{:.1}", r.decoder_ge),
-                r.extra_bits.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        dream_sim::report::format_table(
-            &["EMT", "encoder GE", "decoder GE", "extra bits/word"],
-            &table
-        )
-    );
-    let (enc, dec) = ecc_vs_dream_area(&area_rows);
-    println!(
-        "ECC vs DREAM area overhead: encoder {}, decoder {}   (paper: +28%, +120%)",
-        dream_sim::report::pct(enc),
-        dream_sim::report::pct(dec)
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,7 +606,7 @@ mod tests {
         let mut sc = registry::get("fig4", true).unwrap();
         let args = Args::parse(
             [
-                "--runs", "2", "--window", "768", "--emt", "dream", "--format", "jsonl",
+                "--runs", "2", "--window", "768", "--emt", "dream", "--sink", "jsonl",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -684,11 +625,8 @@ mod tests {
             [
                 "--fault-model",
                 "burst:4",
-                "--format",
-                "jsonl",
-                "--out",
-                "results/x",
-                "--append",
+                "--sink",
+                "jsonl:results/x,append",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -700,23 +638,10 @@ mod tests {
     }
 
     #[test]
-    fn consolidated_sink_flag_wins_over_legacy_spellings() {
-        let mut sc = registry::get("fig4", true).unwrap();
-        let args = Args::parse(
-            [
-                "--format",
-                "csv",
-                "--out",
-                "legacy",
-                "--sink",
-                "jsonl:results/x,append",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
-        apply_overrides(&mut sc, &args);
-        assert_eq!(sc.sink, SinkSpec::parse("jsonl:results/x,append").unwrap());
-        assert_eq!(sc.sink.token(), "jsonl:results/x,append");
+    #[should_panic(expected = "--format is retired: use --sink")]
+    fn retired_sink_spellings_name_the_sink_flag() {
+        let args = Args::parse(["--format", "csv"].iter().map(|s| s.to_string()));
+        let _ = run("fig4", &args);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shared plumbing for the `dream` CLI and the table/figure shims.
+//! Shared plumbing for the `dream` CLI and the registry-wide `all` runner.
 //!
 //! The real content lives in `dream-sim`; this crate parses the tiny
 //! command-line vocabulary the binaries share ([`Args`]), hosts the

@@ -178,36 +178,23 @@ impl TrialBatch {
         self.alive >> lane & 1 == 1
     }
 
-    /// Accounts for one read of an address some lanes corrupt.
+    /// Accounts for `count` back-to-back reads of an address some lanes
+    /// corrupt, all seeing the same stored code and decoding identically —
+    /// one aggregated clean-trace entry.
     ///
     /// `active` selects the lanes with a stuck cell at the address (others
     /// already behave exactly like the clean pass and need no bookkeeping);
     /// `diverged` flags lanes whose decoded word differs from the clean
     /// word, and `corrected` / `uncorrectable` carry the batch decode's
-    /// outcome masks. `clean` is the clean pass's own outcome for this
-    /// read, which the per-lane deltas are taken against.
+    /// outcome masks. `clean` is the clean pass's own outcome for these
+    /// reads, which the per-lane deltas are taken against.
     ///
-    /// Diverged active lanes are evicted; surviving active lanes accumulate
-    /// `(lane outcome − clean outcome)` into their deltas.
+    /// Diverged active lanes are evicted (eviction is count-independent: a
+    /// diverged lane diverges on the first of the repeats); surviving
+    /// active lanes accumulate `count × (lane outcome − clean outcome)`
+    /// into their deltas.
     #[inline]
     pub fn record_read(
-        &mut self,
-        active: u64,
-        diverged: u64,
-        corrected: u64,
-        uncorrectable: u64,
-        clean: DecodeOutcome,
-    ) {
-        self.record_read_repeated(active, diverged, corrected, uncorrectable, clean, 1);
-    }
-
-    /// [`record_read`](Self::record_read) for `count` back-to-back reads
-    /// that all see the same stored code and decode identically — the
-    /// replay path's aggregated clean-trace entries. Survivor deltas are
-    /// scaled by `count`; eviction is count-independent (a diverged lane
-    /// diverges on the first of the repeats).
-    #[inline]
-    pub fn record_read_repeated(
         &mut self,
         active: u64,
         diverged: u64,
@@ -286,11 +273,11 @@ mod tests {
     fn diverged_active_lanes_are_evicted_and_stay_evicted() {
         let mut b = TrialBatch::new(8);
         // Lane 1 diverges; lane 5 is flagged diverged but not active here.
-        b.record_read(0b0000_0011, 0b0010_0010, 0, 0, DecodeOutcome::Clean);
+        b.record_read(0b0000_0011, 0b0010_0010, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.evicted(), 0b0000_0010);
         assert!(b.is_alive(5));
         // An evicted lane is no longer active even if its bit is passed.
-        b.record_read(0b0000_0010, 0, 0b0000_0010, 0, DecodeOutcome::Clean);
+        b.record_read(0b0000_0010, 0, 0b0000_0010, 0, DecodeOutcome::Clean, 1);
         let clean = AccessStats::default();
         assert_eq!(b.lane_stats(1, &clean).corrected_reads, 0);
     }
@@ -305,10 +292,10 @@ mod tests {
         };
         let mut b = TrialBatch::new(4);
         // Clean read was Clean; lane 0 corrected, lane 2 uncorrectable.
-        b.record_read(0b0101, 0, 0b0001, 0b0100, DecodeOutcome::Clean);
+        b.record_read(0b0101, 0, 0b0001, 0b0100, DecodeOutcome::Clean, 1);
         // Clean read was Corrected; lane 0 also corrected (no delta), lane
         // 1 read clean (delta −1 corrected).
-        b.record_read(0b0011, 0, 0b0001, 0, DecodeOutcome::Corrected);
+        b.record_read(0b0011, 0, 0b0001, 0, DecodeOutcome::Corrected, 1);
         let s0 = b.lane_stats(0, &clean);
         assert_eq!((s0.reads, s0.writes), (100, 40));
         assert_eq!(s0.corrected_reads, 4);
@@ -337,15 +324,15 @@ mod tests {
     fn bailout_abandons_survivors_once_population_drops_below_threshold() {
         // 8 lanes, 25% threshold: bail when fewer than 2 lanes survive.
         let mut b = TrialBatch::with_bailout(8, 0.25);
-        b.record_read(0xFF, 0b0011_1111, 0, 0, DecodeOutcome::Clean);
+        b.record_read(0xFF, 0b0011_1111, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0b1100_0000, "2 survivors is not below 2");
         assert_eq!(b.bailed(), 0);
-        b.record_read(0xFF, 0b0100_0000, 0, 0, DecodeOutcome::Clean);
+        b.record_read(0xFF, 0b0100_0000, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0, "1 survivor < 2 triggers the bail-out");
         assert_eq!(b.bailed(), 0b1000_0000, "the straggler, not the diverger");
         assert_eq!(b.evicted(), 0xFF, "every lane now replays scalar");
         // Bail-out is sticky: later reads account nothing.
-        b.record_read(0xFF, 0, 0xFF, 0, DecodeOutcome::Clean);
+        b.record_read(0xFF, 0, 0xFF, 0, DecodeOutcome::Clean, 1);
         let clean = AccessStats::default();
         assert_eq!(b.lane_stats(7, &clean).corrected_reads, 0);
     }
@@ -353,7 +340,7 @@ mod tests {
     #[test]
     fn full_bailout_fraction_bails_on_first_eviction() {
         let mut b = TrialBatch::with_bailout(4, 1.0);
-        b.record_read(0b1111, 0b0001, 0, 0, DecodeOutcome::Clean);
+        b.record_read(0b1111, 0b0001, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0);
         assert_eq!(b.bailed(), 0b1110);
     }
@@ -361,7 +348,7 @@ mod tests {
     #[test]
     fn zero_bailout_fraction_never_bails() {
         let mut b = TrialBatch::with_bailout(4, 0.0);
-        b.record_read(0b1111, 0b0111, 0, 0, DecodeOutcome::Clean);
+        b.record_read(0b1111, 0b0111, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0b1000, "last survivor rides to the end");
         assert_eq!(b.bailed(), 0);
     }
@@ -378,7 +365,7 @@ mod tests {
         // 7 identical reads: clean pass was Corrected, lane 0 decodes
         // Clean (delta −7 corrected), lane 1 uncorrectable (delta −7
         // corrected, +7 uncorrectable).
-        b.record_read_repeated(0b11, 0, 0, 0b10, DecodeOutcome::Corrected, 7);
+        b.record_read(0b11, 0, 0, 0b10, DecodeOutcome::Corrected, 7);
         let s0 = b.lane_stats(0, &clean);
         assert_eq!(s0.corrected_reads, 3);
         assert_eq!(s0.uncorrectable_reads, 0);

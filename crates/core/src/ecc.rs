@@ -31,7 +31,7 @@ use crate::emt::{DecodeOutcome, Decoded, EmtCodec, EmtKind, Encoded};
 /// Single-Error-Correction / Double-Error-Detection extended Hamming code
 /// over 16-bit data words.
 ///
-/// The classic EMT the paper compares DREAM against ([14] in the paper):
+/// The classic EMT the paper compares DREAM against (\[14\] in the paper):
 /// five Hamming check bits plus one overall parity bit — `2 + log2(16) = 6`
 /// extra bits per word — all stored **in the same faulty array** as the
 /// data (the array widens from 16 to 22 bits, which is exactly where ECC's

@@ -25,9 +25,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dream_energy::{calib, EnergyBreakdown, SramEnergyModel};
-use dream_mem::{BatchFaultPlanes, FaultMap, FaultySram, MemGeometry};
+use dream_mem::{FaultMap, FaultySram, MemGeometry};
 
-use crate::batch::TrialBatch;
 use crate::emt::{AnyCodec, DecodeOutcome, Decoded, EmtCodec, EmtKind};
 
 /// Process-wide kill switch for the clean-word fast path, for differential
@@ -414,72 +413,6 @@ impl<C: EmtCodec> ProtectedMemory<C> {
         decoded
     }
 
-    /// Reads a data word on behalf of up to 64 trials at once.
-    ///
-    /// This memory plays the *clean pass* of a batched Monte-Carlo run: it
-    /// carries no faults of its own, while each trial's stuck cells live in
-    /// a lane of `faults`. The clean decode proceeds exactly as
-    /// [`ProtectedMemory::read_decoded`] (statistics included — they are
-    /// the clean baseline [`TrialBatch::lane_stats`] offsets). If any
-    /// still-alive lane corrupts this address, the stored code is overlaid
-    /// through the fault planes and decoded for all lanes at once
-    /// ([`EmtCodec::decode_batch`]); lanes whose decoded word differs from
-    /// the clean word are evicted from `batch`, surviving lanes accumulate
-    /// their outcome deltas. The returned word is the clean word — which,
-    /// by the divergence rule, is exactly what every surviving lane reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range, or if `faults` covers a different
-    /// word count or fewer planes than the codec's codeword width.
-    #[inline]
-    pub fn read_batch(
-        &mut self,
-        addr: usize,
-        faults: &BatchFaultPlanes,
-        batch: &mut TrialBatch,
-    ) -> i16 {
-        let clean = self.read_decoded(addr);
-        let active = faults.dirty_mask(addr) & batch.alive();
-        if active != 0 {
-            let width = self.codec.code_width() as usize;
-            let mut planes = [0u64; 32];
-            self.data.read_batch(addr, faults, &mut planes[..width]);
-            let d = self.codec.decode_batch(&planes[..width], self.side[addr]);
-            let clean_word = clean.word as u16;
-            let mut diverged = 0u64;
-            for (i, &plane) in d.data.iter().enumerate() {
-                let clean_plane = 0u64.wrapping_sub(u64::from(clean_word >> i & 1));
-                diverged |= plane ^ clean_plane;
-            }
-            batch.record_read(
-                active,
-                diverged,
-                d.corrected,
-                d.uncorrectable,
-                clean.outcome,
-            );
-        }
-        clean.word
-    }
-
-    /// Writes a data word on behalf of every trial of a batched pass at
-    /// once — an explicit alias of [`ProtectedMemory::write`].
-    ///
-    /// Stuck-at faults corrupt *reads*, never the latched contents, and by
-    /// the divergence rule every surviving lane computes exactly the clean
-    /// pass's values — so one shared write covers all lanes, and a lane
-    /// that would have written something else is caught (and evicted) at
-    /// the read that first showed it a different word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    #[inline]
-    pub fn write_batch(&mut self, addr: usize, word: i16) {
-        self.write(addr, word);
-    }
-
     /// Writes `data.len()` consecutive words starting at `base` — the
     /// block counterpart of [`ProtectedMemory::write`], with the bounds
     /// check hoisted out of the per-word loop. Statistics advance exactly
@@ -752,69 +685,6 @@ mod tests {
             };
             assert_eq!(run(true), run(false), "{kind}");
         }
-    }
-
-    #[test]
-    fn batched_reads_match_per_lane_scalar_memories() {
-        // The clean memory + fault planes + TrialBatch trio must agree
-        // with eight independent scalar memories carrying the same fault
-        // maps: identical words while a lane survives, eviction at the
-        // first read whose decoded word differs, and — for lanes that
-        // survive the whole sweep — identical final statistics.
-        let lanes = 8;
-        let mut total_survived = 0usize;
-        let mut total_evicted = 0usize;
-        for kind in EmtKind::all() {
-            let mut clean = ProtectedMemory::new(kind, geometry());
-            let mut planes = BatchFaultPlanes::new(64, 22);
-            let mut scalars: Vec<_> = (0..lanes)
-                .map(|l| {
-                    let map = FaultMap::generate(64, 22, 0.002, 100 + l as u64);
-                    planes.add_lane(l, &map, None);
-                    ProtectedMemory::with_fault_map(kind, geometry(), &map)
-                })
-                .collect();
-            let mut batch = TrialBatch::new(lanes);
-            for i in 0..64 {
-                let w = (i as i16) * 411 - 13_000;
-                clean.write_batch(i, w);
-                for m in scalars.iter_mut() {
-                    m.write(i, w);
-                }
-            }
-            for _pass in 0..2 {
-                for i in 0..64 {
-                    let alive_before = batch.alive();
-                    let w = clean.read_batch(i, &planes, &mut batch);
-                    for (l, m) in scalars.iter_mut().enumerate() {
-                        let d = m.read_decoded(i);
-                        if alive_before >> l & 1 == 1 {
-                            assert_eq!(
-                                batch.is_alive(l),
-                                d.word == w,
-                                "{kind} lane {l} addr {i}: eviction iff divergence"
-                            );
-                        }
-                    }
-                }
-            }
-            let clean_stats = clean.stats();
-            for (l, m) in scalars.iter().enumerate() {
-                if batch.is_alive(l) {
-                    total_survived += 1;
-                    assert_eq!(
-                        batch.lane_stats(l, &clean_stats),
-                        m.stats(),
-                        "{kind} lane {l} statistics"
-                    );
-                } else {
-                    total_evicted += 1;
-                }
-            }
-        }
-        // The fixed seeds must exercise both outcomes of the rule.
-        assert!(total_survived > 0, "no lane survived anywhere");
-        assert!(total_evicted > 0, "no lane diverged anywhere");
     }
 
     #[test]

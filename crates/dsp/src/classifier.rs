@@ -35,7 +35,7 @@ impl BeatClass {
 
 /// Rule-based heartbeat classifier on top of [`WaveletDelineation`].
 ///
-/// Mirrors the embedded classifier of the paper's reference [9]: delineate
+/// Mirrors the embedded classifier of the paper's reference \[9\]: delineate
 /// each beat, extract morphology features — QRS width, RR interval ratio,
 /// P-wave presence — and sort the beat into [`BeatClass`] buckets:
 ///

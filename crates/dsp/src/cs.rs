@@ -7,11 +7,11 @@ use crate::WordStorage;
 
 /// 50 % lossy compression of an ECG window with a sparse binary sensing
 /// matrix, after the power-efficient WBSN scheme of Mamaghanian et al.
-/// ([10]/[11] in the paper).
+/// (\[10\]/\[11\] in the paper).
 ///
 /// The measurement vector is `y = Φ·x` with a sparse **binary** matrix
 /// `Φ ∈ {0, 1}^{M×N}` (`M = N/2`, a fixed number of ones per column — the
-/// construction of [11], chosen there because it needs no multipliers).
+/// construction of \[11\], chosen there because it needs no multipliers).
 /// Binary entries also mean the measurements inherit the input's sign
 /// statistics: mostly-negative samples give mostly-negative measurements,
 /// which is what lets CS hide MSB stuck-at-1 faults in Fig. 2. `Φ` is never

@@ -6,7 +6,7 @@ use crate::WordStorage;
 
 /// DWT-based heartbeat delineation: finds the P, Q, R, S and T fiducial
 /// points of every beat, the front-end of embedded heartbeat classifiers
-/// ([8], [9] in the paper).
+/// (\[8\], \[9\] in the paper).
 ///
 /// Pipeline (the §II-1 DWT feeding the detector, as in the paper):
 ///

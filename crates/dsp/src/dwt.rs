@@ -6,7 +6,7 @@ use crate::app::{AppKind, BiomedicalApp};
 use crate::WordStorage;
 
 /// Multi-scale à-trous DWT with the quadratic-spline filter pair used by
-/// embedded multi-lead ECG delineators ([8] in the paper).
+/// embedded multi-lead ECG delineators (\[8\] in the paper).
 ///
 /// Per scale `j` (filter taps spread by `2^(j-1)`, symmetric clamped
 /// boundaries):

@@ -17,7 +17,7 @@
 //! * [`WaveletDelineation`] — DWT-based detection of the P, Q, R, S, T
 //!   fiducial points (§II-5),
 //! * [`HeartbeatClassifier`] — the §III example of a qualitative output
-//!   (delineation + rule-based beat classes, after the paper's ref. [9]);
+//!   (delineation + rule-based beat classes, after the paper's ref. \[9\]);
 //!   an extension beyond the paper's five benchmark kernels.
 //!
 //! Each app also carries a double-precision reference implementation

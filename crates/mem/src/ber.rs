@@ -3,7 +3,7 @@
 /// Bit error rate of a low-power SRAM cell as a function of supply voltage.
 ///
 /// The paper profiles a 32 nm low-power memory for each voltage level
-/// (its reference [2]); that silicon characterization is not public, so this
+/// (its reference \[2\]); that silicon characterization is not public, so this
 /// model substitutes a parametric curve: `log10(BER)` is affine in the
 /// voltage, which matches the near-exponential growth of cell failure
 /// probability as the supply approaches threshold reported across the

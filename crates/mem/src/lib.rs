@@ -6,7 +6,7 @@
 //!
 //! * [`BerModel`] — bit error rate as a function of the supply voltage,
 //!   replacing the proprietary 32 nm low-power cell characterization the
-//!   paper profiles (reference [2] of the paper). The default is a
+//!   paper profiles (reference \[2\] of the paper). The default is a
 //!   log-linear curve documented in `DESIGN.md`.
 //! * [`FaultMap`] — a random stuck-at overlay over a word array, drawn with
 //!   geometric skip-sampling so that even large memories at low BER are

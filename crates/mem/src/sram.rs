@@ -212,25 +212,6 @@ impl FaultySram {
         }
     }
 
-    /// Reads logical address `addr` through a batch of per-trial fault
-    /// overlays instead of this array's own: writes `out.len()` bit planes
-    /// where bit *l* of `out[p]` is bit *p* of the word trial lane *l*
-    /// would read (see [`crate::BatchFaultPlanes::overlay`]).
-    ///
-    /// The latch contents come from this array (scrambling included);
-    /// `planes` must already be resolved to logical addresses
-    /// ([`crate::BatchFaultPlanes::add_lane`] does that), so this array is
-    /// normally the batch's *fault-free* clean-pass storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range for either side or `out` is wider
-    /// than the planes.
-    #[inline]
-    pub fn read_batch(&self, addr: usize, planes: &crate::BatchFaultPlanes, out: &mut [u64]) {
-        planes.overlay(addr, self.read_raw(addr), out);
-    }
-
     /// True when no stuck cell touches the logical word `addr` — the read
     /// of such a word returns exactly what was written, which is what the
     /// protected-memory clean-word fast path keys on.

@@ -9,7 +9,7 @@
 //! # Hostile-client posture
 //!
 //! Parsing never trusts the peer: the request line and every header line
-//! are read through [`read_line_bounded`], which buffers at most the
+//! are read through `read_line_bounded`, which buffers at most the
 //! head budget no matter how many bytes arrive without a newline, and the
 //! whole request is subject to a wall-clock [`ReadLimits::deadline`] — a
 //! client trickling one byte per socket-timeout interval (slow loris)

@@ -49,7 +49,7 @@
 //! handler pool; anything that *streams* (a campaign body, a `/rows`
 //! follow) is handed to a poller thread as a non-blocking socket. The
 //! poller owns every follower at once — a readiness ladder of one rung:
-//! it wakes on engine progress notifications (with [`FOLLOW_POLL`] as a
+//! it wakes on engine progress notifications (with `FOLLOW_POLL` as a
 //! backstop), frames fresh artifact bytes into per-connection buffers,
 //! and retries `WouldBlock` writes on the next tick — so hundreds of
 //! followers cost hundreds of buffers, not hundreds of threads. A

@@ -36,6 +36,7 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use dream_sim::scenario::json::Json;
 use dream_sim::scenario::{Scenario, SinkSpec};
 
 use crate::hash::sha256_hex;
@@ -106,22 +107,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)?;
     // Durability of the rename needs the directory entry flushed too.
     fs::File::open(parent)?.sync_all()
-}
-
-/// Extracts `"key": <json scalar>` from a flat JSON object — the store's
-/// meta files are written by us and only hold scalars, so a real parser
-/// would be dead weight. Returns the raw token (quotes stripped for
-/// strings).
-fn json_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = body[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
 }
 
 /// A directory of campaign artifacts addressed by [`campaign_id`].
@@ -233,7 +218,7 @@ impl Store {
     /// last, after every row is on disk — the marker's existence is the
     /// completion contract, so the rows file is fsynced first, its
     /// checksum is recorded in the marker, and the marker lands via
-    /// [`write_atomic`].
+    /// `write_atomic`.
     ///
     /// # Errors
     ///
@@ -270,8 +255,9 @@ impl Store {
             other => other?,
         };
         let parse = || -> Option<Meta> {
-            let rows: usize = json_field(&text, "rows")?.parse().ok()?;
-            let rows_sha256 = json_field(&text, "rows_sha256")?.to_string();
+            let doc = Json::parse(&text).ok()?;
+            let rows = doc.get("rows")?.as_usize()?;
+            let rows_sha256 = doc.get("rows_sha256")?.as_str()?.to_string();
             if rows_sha256.len() != 64 || !rows_sha256.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return None;
             }
@@ -575,14 +561,5 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(store.verify(&id).unwrap(), Integrity::Corrupt(_)));
-    }
-
-    #[test]
-    fn json_field_extracts_strings_and_numbers() {
-        let body = "{\"id\": \"abc-def\", \"rows\": 42, \"rows_sha256\": \"00ff\"}";
-        assert_eq!(json_field(body, "id"), Some("abc-def"));
-        assert_eq!(json_field(body, "rows"), Some("42"));
-        assert_eq!(json_field(body, "rows_sha256"), Some("00ff"));
-        assert_eq!(json_field(body, "missing"), None);
     }
 }

@@ -143,45 +143,6 @@ impl<C: EmtCodec> WordStorage for ProtectedStorage<'_, C> {
     }
 }
 
-/// Adapter exposing a clean [`ProtectedMemory`] plus per-trial fault
-/// planes as application storage for a *batched* pass: reads go through
-/// [`ProtectedMemory::read_batch`] (decoding every lane and evicting
-/// divergent trials), writes through the shared clean write. Block
-/// accesses use the per-word `WordStorage` defaults, which produce
-/// statistics identical to `ProtectedMemory`'s own block paths.
-pub struct BatchProtectedStorage<'a, C: EmtCodec = AnyCodec> {
-    mem: &'a mut ProtectedMemory<C>,
-    faults: &'a BatchFaultPlanes,
-    batch: &'a mut TrialBatch,
-}
-
-impl<'a, C: EmtCodec> BatchProtectedStorage<'a, C> {
-    /// Wraps a clean memory, the batch's fault planes, and its lane state.
-    pub fn new(
-        mem: &'a mut ProtectedMemory<C>,
-        faults: &'a BatchFaultPlanes,
-        batch: &'a mut TrialBatch,
-    ) -> Self {
-        BatchProtectedStorage { mem, faults, batch }
-    }
-}
-
-impl<C: EmtCodec> WordStorage for BatchProtectedStorage<'_, C> {
-    fn len(&self) -> usize {
-        self.mem.words()
-    }
-
-    #[inline]
-    fn read(&mut self, addr: usize) -> i16 {
-        self.mem.read_batch(addr, self.faults, self.batch)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: usize, value: i16) {
-        self.mem.write_batch(addr, value)
-    }
-}
-
 /// One aggregated read event of a clean pass: while the stored code at
 /// `addr` was `code` (side word `side`), the clean pass read the address
 /// `count` times, decoding `word` with `outcome`. `stage` is the app
@@ -272,10 +233,10 @@ impl StageLog {
 /// and access statistics.
 ///
 /// The trace depends only on (EMT, app, record) — never on the fault draw
-/// — so one recording serves every batched group of a campaign,
-/// [`CleanTrace::replay`]ing against each group's fault planes instead of
-/// re-running the application. Aggregating events (dropping read order)
-/// is sound because the batched pass's observables are order-independent:
+/// — so one recording serves every batched group of a campaign, replayed
+/// ([`EmtMemory::replay_trace`]) against each group's fault planes instead
+/// of re-running the application. Aggregating events (dropping read order)
+/// is sound because the replay's observables are order-independent:
 /// a lane's final eviction only asks whether *any* read diverged, and
 /// survivor deltas accumulate over *all* reads the lane corrupts —
 /// evicted lanes' deltas are never consumed.
@@ -426,9 +387,9 @@ impl CleanTrace {
     /// Replays this trace against one batched group's fault planes:
     /// every event some still-alive lane corrupts is overlaid and decoded
     /// for all lanes at once, evicting diverged lanes and accumulating
-    /// survivor deltas into `batch` — the exact bookkeeping a full
-    /// batched application pass would have produced, at the cost of the
-    /// dirty events only. Returns as soon as no lane is alive.
+    /// survivor deltas into `batch` — the exact bookkeeping the lanes'
+    /// scalar runs imply, at the cost of the dirty events only. Returns as
+    /// soon as no lane is alive.
     ///
     /// `lanes` restricts the replay to a subset of the batch: only those
     /// lanes are decoded, evicted, or credited. This is what lets one
@@ -467,7 +428,7 @@ impl CleanTrace {
                 let clean_plane = 0u64.wrapping_sub(u64::from(clean_word >> i & 1));
                 diverged |= plane ^ clean_plane;
             }
-            batch.record_read_repeated(
+            batch.record_read(
                 active,
                 diverged,
                 d.corrected,
@@ -502,7 +463,7 @@ struct RawEvent {
 /// (`decode(encode(w)) == (w, Clean)` — pinned by the exhaustive codec
 /// tests), so the application's clean dynamics do not depend on the EMT:
 /// one raw recording per (app, record) yields the [`CleanTrace`] of
-/// *every* EMT via [`CleanTrace::derive`], re-encoding each distinct word
+/// *every* EMT via [`EmtMemory::derive_trace`], re-encoding each distinct word
 /// instead of re-running the application four times.
 ///
 /// The one case where dynamics *would* diverge is a read of a
@@ -739,30 +700,6 @@ impl EmtMemory {
         }
     }
 
-    /// [`EmtMemory::run_app`] for a batched pass: this memory plays the
-    /// clean trial, `faults` carries one lane per batched trial, and
-    /// `batch` tracks divergence and per-lane statistics deltas. The
-    /// returned output is the clean pass's — by the divergence rule it is
-    /// also every surviving lane's output.
-    pub fn run_app_batch(
-        &mut self,
-        app: &dyn BiomedicalApp,
-        input: &[i16],
-        faults: &BatchFaultPlanes,
-        batch: &mut TrialBatch,
-    ) -> Vec<i16> {
-        match self {
-            EmtMemory::None(m) => app.run(input, &mut BatchProtectedStorage::new(m, faults, batch)),
-            EmtMemory::Parity(m) => {
-                app.run(input, &mut BatchProtectedStorage::new(m, faults, batch))
-            }
-            EmtMemory::Dream(m) => {
-                app.run(input, &mut BatchProtectedStorage::new(m, faults, batch))
-            }
-            EmtMemory::Ecc(m) => app.run(input, &mut BatchProtectedStorage::new(m, faults, batch)),
-        }
-    }
-
     /// Runs `app` once on this (fault-free, freshly reset) memory and
     /// records its stage-ordered [`CleanTrace`], write log included —
     /// the pass every batched group of the campaign then
@@ -791,11 +728,12 @@ impl EmtMemory {
     }
 
     /// Replays a recorded clean pass against one batched group's fault
-    /// planes (see [`CleanTrace`]): `batch` ends up with exactly the
-    /// eviction set and survivor deltas a full
-    /// [`EmtMemory::run_app_batch`] over the same planes would produce.
-    /// `lanes` masks the replay to the sub-group that drew this trace's
-    /// record (`u64::MAX` for a whole single-record group).
+    /// planes (see [`CleanTrace`]): `batch` evicts exactly the lanes whose
+    /// scalar run on their own fault map would read a word differing from
+    /// the clean pass's, and each survivor's [`TrialBatch::lane_stats`]
+    /// equals that scalar run's statistics. `lanes` masks the replay to
+    /// the sub-group that drew this trace's record (`u64::MAX` for every
+    /// lane).
     pub fn replay_trace(
         &self,
         trace: &CleanTrace,
@@ -934,51 +872,89 @@ mod tests {
         assert_eq!(out, vec![7, -8, 9]);
     }
 
+    /// Runs an app on a clean memory and, in lockstep, on one lane's
+    /// faulty memory: both see every write, the app sees only clean words,
+    /// and `diverged` latches once the faulty memory decodes a different
+    /// word. Until then the faulty memory's statistics are exactly that
+    /// lane's scalar run.
+    struct Lockstep<'a> {
+        clean: &'a mut ProtectedMemory,
+        faulty: &'a mut ProtectedMemory,
+        diverged: bool,
+    }
+
+    impl WordStorage for Lockstep<'_> {
+        fn len(&self) -> usize {
+            self.clean.words()
+        }
+
+        fn read(&mut self, addr: usize) -> i16 {
+            let word = self.clean.read(addr);
+            self.diverged |= self.faulty.read(addr) != word;
+            word
+        }
+
+        fn write(&mut self, addr: usize, value: i16) {
+            self.clean.write(addr, value);
+            self.faulty.write(addr, value);
+        }
+    }
+
     #[test]
-    fn trace_replay_matches_full_batched_pass() {
-        // The compressed clean trace must reproduce a full batched
-        // application pass exactly: same clean output and stats, same
-        // eviction set, same survivor deltas — for every codec, on fault
-        // planes dense enough to evict some lanes and spare others.
+    fn trace_replay_matches_per_lane_scalar_runs() {
+        // Replaying the compressed clean trace must evict exactly the
+        // lanes whose scalar run reads a diverging word, and leave every
+        // survivor with its scalar run's statistics — for every codec, on
+        // fault maps dense enough to evict some lanes and spare others.
         let app = dream_dsp::AppKind::Dwt.instantiate(256);
         let geometry = banked_geometry(app.memory_words());
         let samples = record_suite(256, 1)[0].samples.clone();
         let lanes = 8;
+        let maps: Vec<FaultMap> = (0..lanes)
+            .map(|lane| {
+                let ber = 0.0005 * (lane + 1) as f64;
+                FaultMap::generate(geometry.words(), 22, ber, 40 + lane as u64)
+            })
+            .collect();
         let mut planes = BatchFaultPlanes::new(geometry.words(), 22);
-        for lane in 0..lanes {
-            let ber = 0.0005 * (lane + 1) as f64;
-            let map = dream_mem::FaultMap::generate(geometry.words(), 22, ber, 40 + lane as u64);
-            planes.add_lane(lane, &map, None);
+        for (lane, map) in maps.iter().enumerate() {
+            planes.add_lane(lane, map, None);
         }
-        let empty = FaultMap::empty(geometry.words(), 22);
         let mut survived = 0;
         let mut evicted = 0;
         for kind in EmtKind::all() {
             let mut mem = EmtMemory::new(kind, geometry);
-            mem.reset_with_fault_map(&empty);
-            let mut full = TrialBatch::new(lanes);
-            let out = mem.run_app_batch(&*app, &samples, &planes, &mut full);
-            let full_stats = mem.stats();
-
-            mem.reset_with_fault_map(&empty);
+            mem.reset_with_fault_map(&FaultMap::empty(geometry.words(), 22));
             let trace = mem.record_trace(&*app, &samples);
-            assert_eq!(trace.output(), &out[..], "{kind}: clean output");
-            assert_eq!(trace.stats(), full_stats, "{kind}: clean stats");
             assert!(trace.events() > 0, "{kind}: trace must not be empty");
-
             let mut replayed = TrialBatch::new(lanes);
             mem.replay_trace(&trace, &planes, &mut replayed, u64::MAX);
-            assert_eq!(replayed.alive(), full.alive(), "{kind}: eviction set");
-            for lane in 0..lanes {
-                if replayed.is_alive(lane) {
+            for (lane, map) in maps.iter().enumerate() {
+                let mut clean = ProtectedMemory::new(kind, geometry);
+                let mut faulty = ProtectedMemory::with_fault_map(kind, geometry, map);
+                let mut storage = Lockstep {
+                    clean: &mut clean,
+                    faulty: &mut faulty,
+                    diverged: false,
+                };
+                let out = app.run(&samples, &mut storage);
+                let diverged = storage.diverged;
+                assert_eq!(trace.output(), &out[..], "{kind}: clean output");
+                assert_eq!(trace.stats(), clean.stats(), "{kind}: clean stats");
+                assert_eq!(
+                    replayed.is_alive(lane),
+                    !diverged,
+                    "{kind} lane {lane}: eviction iff divergence"
+                );
+                if diverged {
+                    evicted += 1;
+                } else {
                     survived += 1;
                     assert_eq!(
                         replayed.lane_stats(lane, &trace.stats()),
-                        full.lane_stats(lane, &full_stats),
-                        "{kind} lane {lane}: survivor deltas"
+                        faulty.stats(),
+                        "{kind} lane {lane}: survivor statistics"
                     );
-                } else {
-                    evicted += 1;
                 }
             }
         }

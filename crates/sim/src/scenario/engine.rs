@@ -600,8 +600,9 @@ struct DrawCtx<'a> {
     records: &'a [Record],
     references: &'a [Vec<Vec<f64>>],
     geometry: MemGeometry,
-    /// Memoized clean passes (batched sweeps only; `None` on the scalar
-    /// path, which recomputes nothing to begin with).
+    /// Memoized clean passes, recorded exactly when the campaign batches:
+    /// `Some` selects [`draw_point_batched`], `None` the scalar path, which
+    /// recomputes nothing to begin with.
     clean: Option<&'a CleanPasses>,
     cfg: ExecConfig,
     cancel: Option<&'a CancelToken>,
@@ -615,8 +616,8 @@ fn draw_point(
     point: usize,
     ctx: &DrawCtx,
 ) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    if ctx.cfg.batch {
-        return draw_point_batched(sc, point, ctx);
+    if let Some(clean) = ctx.clean {
+        return draw_point_batched(sc, point, ctx, clean);
     }
     let DrawCtx {
         fault_model,
@@ -704,6 +705,7 @@ fn draw_point_batched(
     sc: &Scenario,
     point: usize,
     ctx: &DrawCtx,
+    clean: &CleanPasses,
 ) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
     let DrawCtx {
         fault_model,
@@ -711,35 +713,19 @@ fn draw_point_batched(
         records,
         references,
         geometry,
-        clean,
+        clean: _,
         cfg,
         cancel,
     } = *ctx;
-    let groups: Vec<Vec<usize>> = if clean.is_some() {
-        // Trace replay feeds each lane exactly its own record's events
-        // (masked sub-replays share one plane transposition), so lanes
-        // need not share a record: chunk runs in order to the lane
-        // budget. Small campaigns fill whole groups instead of
-        // fragmenting into per-record slivers.
-        (0..sc.trials)
-            .collect::<Vec<_>>()
-            .chunks(MAX_LANES)
-            .map(<[_]>::to_vec)
-            .collect()
-    } else {
-        // Without memoized traces the clean pass *runs the app once* for
-        // the whole group, so lanes must share their record.
-        (0..records.len())
-            .flat_map(|r| {
-                let runs: Vec<usize> = (0..sc.trials)
-                    .filter(|run| run % records.len() == r)
-                    .collect();
-                runs.chunks(MAX_LANES)
-                    .map(<[_]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
+    // Trace replay feeds each lane exactly its own record's events (masked
+    // sub-replays share one plane transposition), so lanes need not share a
+    // record: chunk runs in order to the lane budget. Small campaigns fill
+    // whole groups instead of fragmenting into per-record slivers.
+    let groups: Vec<Vec<usize>> = (0..sc.trials)
+        .collect::<Vec<_>>()
+        .chunks(MAX_LANES)
+        .map(<[_]>::to_vec)
+        .collect();
     // One armed map per lane, reused by every evicted cell of the lane:
     // the scalar path arms once per run and shares the map across its
     // EMT × app cells, and re-arming per evicted cell would pay that
@@ -756,20 +742,16 @@ fn draw_point_batched(
         let maps: Vec<FaultMap> = (0..lane_budget)
             .map(|_| FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH))
             .collect();
-        // Never armed: resets the memory fault-free for clean app passes.
-        let empty = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
         let planes = BatchFaultPlanes::new(geometry.words(), SHARED_MAP_WIDTH);
-        (apps, mems, maps, empty, planes)
+        (apps, mems, maps, planes)
     };
     let per_group = exec::run_trials_cancellable(
         cfg.threads,
         &groups,
         scratch,
-        |(apps, mems, maps, empty, planes), group, _| {
+        |(apps, mems, maps, planes), group, _| {
             planes.clear();
-            // Lanes replaying the same record form one masked sub-group;
-            // single-record groups (the run_app_batch fallback) collapse
-            // to one part covering every lane.
+            // Lanes replaying the same record form one masked sub-group.
             let mut parts: Vec<(usize, u64)> = Vec::new();
             for (lane, &run) in group.iter().enumerate() {
                 let ri = run % records.len();
@@ -793,29 +775,12 @@ fn draw_point_batched(
             for (ei, mem) in mems.iter_mut().enumerate() {
                 for (ai, app) in apps.iter().enumerate() {
                     let mut batch = TrialBatch::with_bailout(group.len(), cfg.bailout);
-                    // Survivor baseline shared by every lane of a
-                    // single-record group; `None` when traces carry it
-                    // per record instead.
-                    let fallback = match clean {
-                        Some(passes) => {
-                            // Replay the memoized traces: only dirty
-                            // events pay plane work; the application
-                            // never runs.
-                            for &(ri, lanes) in &parts {
-                                let pass = &passes[ei][ai][ri];
-                                mem.replay_trace(&pass.trace, planes, &mut batch, lanes);
-                            }
-                            None
-                        }
-                        None => {
-                            let ri = group[0] % records.len();
-                            mem.reset_with_fault_map(empty);
-                            let out =
-                                mem.run_app_batch(&**app, &records[ri].samples, planes, &mut batch);
-                            let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(&out)));
-                            Some((snr, mem.stats()))
-                        }
-                    };
+                    // Replay the memoized traces: only dirty events pay
+                    // plane work; the application never runs.
+                    for &(ri, lanes) in &parts {
+                        let pass = &clean[ei][ai][ri];
+                        mem.replay_trace(&pass.trace, planes, &mut batch, lanes);
+                    }
                     let bailed = batch.bailed().count_ones();
                     telemetry::record_batch_pass(
                         group.len(),
@@ -825,15 +790,8 @@ fn draw_point_batched(
                     for (lane, &run) in group.iter().enumerate() {
                         let ri = run % records.len();
                         let (snr, stats) = if batch.is_alive(lane) {
-                            let (clean_snr, clean_stats) = match (clean, fallback) {
-                                (Some(passes), _) => {
-                                    let pass = &passes[ei][ai][ri];
-                                    (pass.snr, pass.trace.stats())
-                                }
-                                (None, Some(shared)) => shared,
-                                (None, None) => unreachable!("fallback set on the app-run path"),
-                            };
-                            (clean_snr, batch.lane_stats(lane, &clean_stats))
+                            let pass = &clean[ei][ai][ri];
+                            (pass.snr, batch.lane_stats(lane, &pass.trace.stats()))
                         } else {
                             // Evicted: the ordinary scalar trial, verbatim
                             // (the lane's map is already armed above).
@@ -1555,6 +1513,14 @@ impl ScenarioOutcome {
                         crate::report::pct(ecc)
                     ));
                 }
+                let (enc, dec) = crate::energy_table::ecc_vs_dream_area(
+                    &crate::energy_table::area_table(&EmtKind::paper_set()),
+                );
+                s.push_str(&format!(
+                    "; ECC vs DREAM codec area: encoder +{}, decoder +{} (paper: +28%, +120%)",
+                    crate::report::pct(enc),
+                    crate::report::pct(dec)
+                ));
                 s
             }
             OutcomeData::Geometry(rows) => format!(

@@ -6,7 +6,9 @@
 use dream_suite::sim::report::{CsvSink, JsonlSink, Sink, TableSink};
 use dream_suite::sim::scenario::{
     registry, CampaignRunner, EngineError, FaultModelSpec, Grid, Scenario, ScenarioOutcome,
+    SinkSpec,
 };
+use proptest::prelude::*;
 
 /// These tests drive campaigns the way every current caller does — through
 /// the [`CampaignRunner`] builder.
@@ -220,4 +222,37 @@ fn append_jsonl_sink_accumulates_rows_across_runs() {
     );
     bad.sink.out = Some(dir.display().to_string());
     bad.validate().expect("append+jsonl+out is valid");
+}
+
+/// `SinkSpec::parse` on `token` returns `Ok` or a `SpecError` (a panic
+/// fails the property), and every `Ok` round-trips through `token()`.
+fn sink_token_round_trips(token: &str) -> Result<(), TestCaseError> {
+    if let Ok(spec) = SinkSpec::parse(token) {
+        prop_assert_eq!(SinkSpec::parse(&spec.token()), Ok(spec), "{:?}", token);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile input: arbitrary bytes, read as lossy UTF-8.
+    #[test]
+    fn sink_grammar_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..48)) {
+        sink_token_round_trips(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Near-miss input: grammar fragments in any order, so the `Ok` side
+    /// and its round trip are exercised too, not only the errors.
+    #[test]
+    fn sink_grammar_round_trips_fragment_soup(
+        parts in prop::collection::vec(
+            prop::sample::select(vec![
+                "table", "csv", "jsonl", ":", ",", ",append", "append", "dir", "a/b", "é", "\0", " ",
+            ]),
+            0..6,
+        ),
+    ) {
+        sink_token_round_trips(&parts.concat())?;
+    }
 }

@@ -23,6 +23,7 @@ use dream_suite::serve::client::{fetch_campaign, RetryPolicy};
 use dream_suite::serve::http::client_request;
 use dream_suite::serve::{campaign_id, ServeConfig, Server, Store};
 use dream_suite::sim::report::JsonlSink;
+use dream_suite::sim::scenario::json::Json;
 use dream_suite::sim::scenario::{registry, Scenario};
 use dream_suite::CampaignRunner;
 
@@ -96,17 +97,10 @@ fn post_without_reading(addr: &str, body: &str) -> TcpStream {
 }
 
 fn json_number(body: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    let start = body
-        .find(&needle)
+    Json::parse(body)
+        .ok()
+        .and_then(|doc| doc.get(key)?.as_u64())
         .unwrap_or_else(|| panic!("{key} in {body}"))
-        + needle.len();
-    body[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("numeric field")
 }
 
 #[test]
