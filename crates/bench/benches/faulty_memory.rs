@@ -48,7 +48,7 @@ fn bench_protected_access(c: &mut Criterion) {
     group.finish();
 }
 
-/// The clean-word fast path against the forced full decoder, on a
+/// Reads from the memory's view against the forced full decoder, on a
 /// mid-voltage map where most — but not all — words are clean: the
 /// regression guard for the per-access read pipeline.
 fn bench_clean_fast_path(c: &mut Criterion) {

@@ -53,6 +53,40 @@ use dream_sim::scenario::{
 
 use crate::Args;
 
+/// The scenario override flags [`apply_overrides`] reads.
+const OVERRIDE_FLAGS: &[&str] = &[
+    "window",
+    "records",
+    "trials",
+    "runs",
+    "seed",
+    "tolerance",
+    "emt",
+    "fault-model",
+    "sink",
+];
+
+/// Flags each subcommand reads besides [`OVERRIDE_FLAGS`] (`run`, `spec`
+/// and `fetch` take those too). Any other flag panics, naming it
+/// ([`Args::reject_unknown_flags`]).
+const RUN_FLAGS: &[&str] = &["smoke", "threads", "batch", "progress"];
+const SPEC_FLAGS: &[&str] = &["smoke"];
+const FETCH_FLAGS: &[&str] = &["smoke", "addr", "out", "retries"];
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "store",
+    "workers",
+    "threads",
+    "queue",
+    "timeout-ms",
+    "deadline-ms",
+    "retry-after",
+    "shards",
+    "worker",
+];
+const DRAIN_FLAGS: &[&str] = &["addr", "exit"];
+const COMPARE_FLAGS: &[&str] = &["store"];
+
 /// Entry point of the `dream` binary: dispatches on the first positional
 /// argument.
 ///
@@ -64,7 +98,10 @@ use crate::Args;
 pub fn main_from_env() {
     let args = Args::from_env();
     match args.positional(0) {
-        Some("list") => list(),
+        Some("list") => {
+            args.reject_unknown_flags("list", &[]);
+            list();
+        }
         Some("run") => {
             let target = args
                 .positional(1)
@@ -76,6 +113,7 @@ pub fn main_from_env() {
                 .positional(1)
                 .unwrap_or_else(|| panic!("usage: dream spec <scenario|spec.json> [flags]"));
             reject_retired_sink_flags(&args, &["format", "out", "append"]);
+            args.reject_unknown_flags("spec", &[SPEC_FLAGS, OVERRIDE_FLAGS].concat());
             let mut sc = resolve(target, args.switch("smoke"));
             apply_overrides(&mut sc, &args);
             sc.validate()
@@ -94,6 +132,7 @@ pub fn main_from_env() {
             let (Some(a), Some(b)) = (args.positional(1), args.positional(2)) else {
                 panic!("usage: dream compare <a> <b> [--store DIR]")
             };
+            args.reject_unknown_flags("compare", COMPARE_FLAGS);
             compare(a, b, &args);
         }
         Some(other) => {
@@ -118,6 +157,7 @@ pub fn main_from_env() {
 fn fetch(target: &str, args: &Args) {
     // `--out FILE` is fetch's own flag: the path of the fetched artifact.
     reject_retired_sink_flags(args, &["format", "append"]);
+    args.reject_unknown_flags("fetch", &[FETCH_FLAGS, OVERRIDE_FLAGS].concat());
     let addr = args.value("addr").unwrap_or("127.0.0.1:7163").to_string();
     let mut sc = resolve(target, args.switch("smoke"));
     apply_overrides(&mut sc, args);
@@ -203,6 +243,7 @@ fn compare(a: &str, b: &str, args: &Args) {
 
 /// Asks a running service to drain (`--exit` to also shut down).
 fn drain(args: &Args) {
+    args.reject_unknown_flags("drain", DRAIN_FLAGS);
     let addr = args.value("addr").unwrap_or("127.0.0.1:7163").to_string();
     let path = if args.switch("exit") {
         "/admin/shutdown"
@@ -230,6 +271,7 @@ fn drain(args: &Args) {
 /// `--worker` runs the instance as a shard worker (direct execution,
 /// never re-sharding).
 fn serve(args: &Args) {
+    args.reject_unknown_flags("serve", SERVE_FLAGS);
     let addr = args.value("addr").unwrap_or("127.0.0.1:7163").to_string();
     let store_dir = args
         .value("store")
@@ -436,6 +478,7 @@ fn parse_fault_model(token: &str) -> FaultModelSpec {
 /// the outcome. Returns the outcome for callers that post-process.
 pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
     reject_retired_sink_flags(args, &["format", "out", "append"]);
+    args.reject_unknown_flags("run", &[RUN_FLAGS, OVERRIDE_FLAGS].concat());
     let mut sc = resolve(target, args.switch("smoke"));
     apply_overrides(&mut sc, args);
     let env = ExecConfig::from_env();
@@ -642,6 +685,68 @@ mod tests {
     fn retired_sink_spellings_name_the_sink_flag() {
         let args = Args::parse(["--format", "csv"].iter().map(|s| s.to_string()));
         let _ = run("fig4", &args);
+    }
+
+    #[test]
+    #[should_panic(expected = "dream run: unknown flag --bogus")]
+    fn run_rejects_flags_it_does_not_read() {
+        let args = Args::parse(
+            ["run", "fig2", "--smoke", "--bogus", "3"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        let _ = run("fig2", &args);
+    }
+
+    #[test]
+    fn every_subcommand_accepts_the_flags_it_reads() {
+        let accepts = |raw: &[&str], command: &str, accepted: &[&str]| {
+            let args = Args::parse(raw.iter().map(|s| s.to_string()));
+            args.reject_unknown_flags(command, accepted);
+        };
+        let run = [RUN_FLAGS, OVERRIDE_FLAGS].concat();
+        accepts(
+            &[
+                "--smoke",
+                "--batch",
+                "off",
+                "--progress",
+                "--runs",
+                "2",
+                "--sink",
+                "csv:x",
+            ],
+            "run",
+            &run,
+        );
+        let fetch = [FETCH_FLAGS, OVERRIDE_FLAGS].concat();
+        accepts(
+            &[
+                "--smoke",
+                "--out",
+                "rows.jsonl",
+                "--retries",
+                "3",
+                "--seed",
+                "1",
+            ],
+            "fetch",
+            &fetch,
+        );
+        accepts(
+            &["--worker", "--addr", "127.0.0.1:0", "--shards", "2"],
+            "serve",
+            SERVE_FLAGS,
+        );
+        accepts(&["--exit", "--addr", "127.0.0.1:1"], "drain", DRAIN_FLAGS);
+        accepts(&["--store", "dir"], "compare", COMPARE_FLAGS);
+    }
+
+    #[test]
+    #[should_panic(expected = "dream serve: unknown flag --smoke")]
+    fn flags_of_other_subcommands_are_rejected() {
+        let args = Args::parse(["--smoke"].iter().map(|s| s.to_string()));
+        args.reject_unknown_flags("serve", SERVE_FLAGS);
     }
 
     #[test]

@@ -13,11 +13,20 @@ pub mod compare;
 
 use std::path::PathBuf;
 
+/// Flags that never take a value. The token after one is never consumed
+/// as its value, so `dream run --smoke fig2` keeps `fig2` as the target.
+const SWITCHES: &[&str] = &["smoke", "progress", "worker", "exit", "list"];
+
 /// Minimal flag parser: `--key value` pairs, bare `--switch`es, and
 /// positional arguments (subcommands and targets).
 ///
+/// The switches `--smoke`, `--progress`, `--worker`, `--exit` and
+/// `--list` never take a value; any other flag takes the next token as
+/// its value unless that token is itself a flag (`--batch` alone means
+/// on).
+///
 /// ```
-/// let args = dream_bench::Args::parse(["run", "fig2", "--runs", "8", "--smoke"].iter().map(|s| s.to_string()));
+/// let args = dream_bench::Args::parse(["run", "--smoke", "fig2", "--runs", "8"].iter().map(|s| s.to_string()));
 /// assert_eq!(args.positional(0), Some("run"));
 /// assert_eq!(args.positional(1), Some("fig2"));
 /// assert_eq!(args.value("runs"), Some("8"));
@@ -39,7 +48,7 @@ impl Args {
         while let Some(a) = iter.next() {
             if let Some(key) = a.strip_prefix("--") {
                 let value = match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next(),
+                    Some(v) if !v.starts_with("--") && !SWITCHES.contains(&key) => iter.next(),
                     _ => None,
                 };
                 pairs.push((key.to_string(), value));
@@ -66,6 +75,30 @@ impl Args {
     /// True when `--key` was given (with or without a value).
     pub fn switch(&self, key: &str) -> bool {
         self.pairs.iter().any(|(k, _)| k == key)
+    }
+
+    /// Panics naming the first flag not in `accepted`, so a typo such as
+    /// `--trails 5` fails loudly instead of running at the default.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a flag outside `accepted` was given.
+    pub fn reject_unknown_flags(&self, command: &str, accepted: &[&str]) {
+        if let Some((flag, _)) = self
+            .pairs
+            .iter()
+            .find(|(k, _)| !accepted.contains(&k.as_str()))
+        {
+            let listed: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+            panic!(
+                "dream {command}: unknown flag --{flag} (accepted: {})",
+                if listed.is_empty() {
+                    "none".to_string()
+                } else {
+                    listed.join(", ")
+                }
+            );
+        }
     }
 
     /// The `i`-th positional argument (subcommand, target, …).
@@ -146,6 +179,32 @@ mod tests {
         assert!(a.switch("area"));
         assert_eq!(a.value("emt"), Some("dream"));
         assert_eq!(a.number("missing", 7), 7);
+    }
+
+    #[test]
+    fn switches_never_swallow_the_target() {
+        let a = Args::parse(
+            ["run", "--smoke", "fig2", "--progress", "--batch", "off"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        assert_eq!(a.positional(1), Some("fig2"));
+        assert!(a.switch("smoke") && a.switch("progress"));
+        assert_eq!(a.value("smoke"), None);
+        assert!(!apply_batch(&a, true));
+        let bare = Args::parse(["--batch", "--smoke"].iter().map(|s| s.to_string()));
+        assert!(apply_batch(&bare, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "dream run: unknown flag --bogus")]
+    fn unknown_flags_are_named() {
+        let a = Args::parse(
+            ["run", "fig2", "--smoke", "--bogus", "3"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        a.reject_unknown_flags("run", &["smoke"]);
     }
 
     #[test]

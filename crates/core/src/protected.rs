@@ -3,24 +3,33 @@
 //!
 //! # Anatomy of an access
 //!
-//! A write runs the encoder and stores `(code, side)`; a read loads the
-//! code bits through the fault overlay and runs the decoder. Two
-//! structural optimizations keep that pipeline off the campaign profiles:
+//! A write runs the encoder and latches `(code, side)`; a read returns what
+//! the decoder makes of the code bits seen through the fault overlay. Two
+//! structural choices keep that pipeline off the campaign profiles:
 //!
 //! * **Monomorphization** — [`ProtectedMemory`] is generic over its codec
 //!   `C: EmtCodec` (defaulting to the [`AnyCodec`] facade, so existing
 //!   harness code is unchanged). Campaign arenas instantiate
 //!   `ProtectedMemory<NoProtection>` etc., compiling every access down to
 //!   the concrete codec kernel with no enum dispatch.
-//! * **Clean-word fast path** — the overwhelming majority of words have no
-//!   stuck cell at a given voltage, and a clean word reads back exactly the
-//!   bits the encoder produced. The memory therefore keeps a *shadow* of
-//!   the decode result each stored word would produce absent faults; when
-//!   [`FaultySram::is_word_clean`] says no stuck lane touches the word, the
-//!   read returns the shadow entry and skips the decoder entirely.
-//!   Statistics (and therefore energy accounting) are bit-identical either
-//!   way, because the shadow stores the full [`Decoded`] — including the
-//!   outcome a decode of the reset state would report.
+//! * **Decode at write time** — faults are permanent stuck-at cells (§V),
+//!   so what a read of an address returns is fixed from one write of it
+//!   to the next. The memory therefore keeps a *view*: per address, the
+//!   word a read returns, plus two bitsets flagging reads the decoder
+//!   reports `Corrected` or `DetectedUncorrectable`. A third bitset marks
+//!   the *dirty* addresses, those some stuck lane touches. A write stores
+//!   its word in the view and clears its outcome bits — every codec
+//!   round-trips a word through a clean cell as `(word, Clean)` — and only
+//!   a dirty address runs the decoder, once, on the faulty read-back. A
+//!   read is then one load plus two bit tests, and a block read is a
+//!   `memcpy` plus two masked popcounts per 64 words. Resets fill the view
+//!   with the decode of the zeroed arrays (DREAM's virgin read is a
+//!   `Corrected` non-zero word) and decode the dirty words through their
+//!   faults; installing a scrambler rebuilds the whole view.
+//!   Statistics (and therefore energy accounting) are bit-identical to
+//!   decoding on every read; [`force_full_decode`] and
+//!   [`ProtectedMemory::set_fast_path`] route reads through the decoder so
+//!   differential tests can prove it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -29,14 +38,14 @@ use dream_mem::{FaultMap, FaultySram, MemGeometry};
 
 use crate::emt::{AnyCodec, DecodeOutcome, Decoded, EmtCodec, EmtKind};
 
-/// Process-wide kill switch for the clean-word fast path, for differential
-/// tests that must compare fast-path and full-decoder behaviour of whole
+/// Process-wide kill switch for the view read path, for differential
+/// tests that must compare view and full-decoder behaviour of whole
 /// campaigns. Memories sample it at construction and on
 /// [`ProtectedMemory::reset_with_fault_map`].
 static FORCE_FULL_DECODE: AtomicBool = AtomicBool::new(false);
 
 /// Test-only: force every subsequently built (or re-armed) memory to run
-/// the full decoder on every read, disabling the clean-word fast path.
+/// the full decoder on every read instead of returning its view.
 ///
 /// Both settings are observationally equivalent by construction; the
 /// differential suite in `tests/fast_path.rs` proves it on real campaigns.
@@ -146,9 +155,10 @@ impl Default for EnergyModelBundle {
 /// [`FaultySram`] running at a scaled (fault-inducing) supply; the side
 /// array holding DREAM's sign + mask-ID bits is modelled as always
 /// error-free because it runs at nominal voltage. Every write runs the
-/// encoder, every read runs the decoder — or, for words untouched by any
-/// stuck cell, the clean-word fast path (see the module docs) — and
-/// [`AccessStats`] accumulates what happened.
+/// encoder (and, for a word some stuck cell touches, the decoder on what
+/// the faulty array reads back); every read returns that decode from the
+/// memory's view (see the module docs) — and [`AccessStats`] accumulates
+/// what happened.
 ///
 /// The codec parameter defaults to the [`AnyCodec`] facade, so
 /// `ProtectedMemory` with no type argument behaves exactly as before;
@@ -172,14 +182,68 @@ pub struct ProtectedMemory<C: EmtCodec = AnyCodec> {
     codec: C,
     data: FaultySram,
     side: Vec<u16>,
-    /// Per-address decode result the stored word produces absent faults:
-    /// what the clean-word fast path returns instead of running the
-    /// decoder. Writes refresh it with `(word, Clean)` — the round-trip
-    /// identity every codec guarantees — and resets refresh it with the
-    /// decode of the zeroed arrays.
-    shadow: Vec<Decoded>,
+    /// Per logical address, the word a read returns:
+    /// `codec.decode(data.read(a), side[a]).word`, kept current by every
+    /// operation that changes a term of that expression.
+    view: Vec<i16>,
+    /// Bit `a` set: a read of `a` decodes as [`DecodeOutcome::Corrected`].
+    corrected: Vec<u64>,
+    /// Bit `a` set: a read of `a` decodes as
+    /// [`DecodeOutcome::DetectedUncorrectable`].
+    uncorrectable: Vec<u64>,
+    /// Bit `a` set: some stuck lane touches logical address `a`, so its
+    /// read-back differs from the latched code and must be decoded.
+    dirty: Vec<u64>,
     fast_path: bool,
     stats: AccessStats,
+}
+
+/// Visits the 64-bit blocks of a packed bitset that cover bits
+/// `base..end`, passing each block's index and the mask of its bits
+/// inside the range.
+#[inline]
+fn for_each_block(base: usize, end: usize, mut f: impl FnMut(usize, u64)) {
+    let mut lo = base;
+    while lo < end {
+        let block = lo / 64;
+        let hi = end.min((block + 1) * 64);
+        f(block, (u64::MAX >> (64 - (hi - lo))) << (lo % 64));
+        lo = hi;
+    }
+}
+
+/// Sets (or clears) bits `base..end` of a packed bitset.
+fn fill_bits(bits: &mut [u64], base: usize, end: usize, on: bool) {
+    for_each_block(base, end, |block, mask| {
+        if on {
+            bits[block] |= mask;
+        } else {
+            bits[block] &= !mask;
+        }
+    });
+}
+
+/// Number of set bits among `base..end` of a packed bitset.
+#[inline]
+fn count_bits(bits: &[u64], base: usize, end: usize) -> u64 {
+    let mut n = 0;
+    for_each_block(base, end, |block, mask| {
+        n += u64::from((bits[block] & mask).count_ones());
+    });
+    n
+}
+
+/// Bit `addr` of a packed bitset.
+#[inline]
+fn bit(bits: &[u64], addr: usize) -> bool {
+    bits[addr / 64] >> (addr % 64) & 1 == 1
+}
+
+/// Sets bit `addr` of a packed bitset to `on`.
+#[inline]
+fn put_bit(bits: &mut [u64], addr: usize, on: bool) {
+    let (block, lane) = (addr / 64, addr % 64);
+    bits[block] = bits[block] & !(1 << lane) | u64::from(on) << lane;
 }
 
 impl ProtectedMemory<AnyCodec> {
@@ -236,16 +300,66 @@ impl<C: EmtCodec> ProtectedMemory<C> {
     fn build(codec: C, geometry: MemGeometry, map: FaultMap) -> Self {
         let data_geometry = geometry.with_width(codec.code_width());
         let data = FaultySram::with_faults(data_geometry, map);
-        let side = vec![0u16; geometry.words()];
-        let shadow = vec![codec.decode(0, 0); geometry.words()];
-        ProtectedMemory {
+        let words = geometry.words();
+        let blocks = words.div_ceil(64);
+        let mut mem = ProtectedMemory {
             codec,
             data,
-            side,
-            shadow,
+            side: vec![0u16; words],
+            view: vec![0i16; words],
+            corrected: vec![0u64; blocks],
+            uncorrectable: vec![0u64; blocks],
+            dirty: Vec::with_capacity(blocks),
             fast_path: !FORCE_FULL_DECODE.load(Ordering::Relaxed),
             stats: AccessStats::default(),
-        }
+        };
+        mem.data.fault_map().pack_stuck_words(&mut mem.dirty);
+        mem.load_virgin_view();
+        mem
+    }
+
+    /// Fills the view with what reads of the zeroed arrays return: the
+    /// codec's decode of `(0, 0)` on clean words, and the decode of the
+    /// faulty read-back on dirty ones. `dirty` must be current.
+    fn load_virgin_view(&mut self) {
+        let words = self.words();
+        let virgin = self.codec.decode(0, 0);
+        self.view.fill(virgin.word);
+        let corrected = virgin.outcome == DecodeOutcome::Corrected;
+        let uncorrectable = virgin.outcome == DecodeOutcome::DetectedUncorrectable;
+        fill_bits(&mut self.corrected, 0, words, corrected);
+        fill_bits(&mut self.uncorrectable, 0, words, uncorrectable);
+        self.decode_dirty(0, words);
+    }
+
+    /// Re-decodes every dirty address in `base..end` from its faulty
+    /// read-back, storing the word and outcome in the view.
+    fn decode_dirty(&mut self, base: usize, end: usize) {
+        for_each_block(base, end, |block, mask| {
+            let mut pending = self.dirty[block] & mask;
+            while pending != 0 {
+                let addr = block * 64 + pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let decoded = self.codec.decode(self.data.read(addr), self.side[addr]);
+                self.store(addr, decoded);
+            }
+        });
+    }
+
+    /// Records `decoded` as what a read of `addr` returns.
+    #[inline]
+    fn store(&mut self, addr: usize, decoded: Decoded) {
+        self.view[addr] = decoded.word;
+        put_bit(
+            &mut self.corrected,
+            addr,
+            decoded.outcome == DecodeOutcome::Corrected,
+        );
+        put_bit(
+            &mut self.uncorrectable,
+            addr,
+            decoded.outcome == DecodeOutcome::DetectedUncorrectable,
+        );
     }
 
     /// Re-arms this memory for a fresh campaign trial: installs a
@@ -274,7 +388,8 @@ impl<C: EmtCodec> ProtectedMemory<C> {
         self.data
             .set_scrambler(dream_mem::AddressScrambler::identity(self.words()));
         self.side.fill(0);
-        self.shadow.fill(self.codec.decode(0, 0));
+        self.data.fault_map().pack_stuck_words(&mut self.dirty);
+        self.load_virgin_view();
         self.fast_path = !FORCE_FULL_DECODE.load(Ordering::Relaxed);
         self.stats = AccessStats::default();
     }
@@ -344,17 +459,19 @@ impl<C: EmtCodec> ProtectedMemory<C> {
     /// Panics if the scrambler does not cover the whole array.
     pub fn set_scrambler(&mut self, scrambler: dream_mem::AddressScrambler) {
         self.data.set_scrambler(scrambler);
-        // Remapping moves which latched bits a logical address sees, so the
-        // fault-free decode shadow is rebuilt from the raw (unfaulted)
-        // array contents — O(words), paid once per re-randomization.
-        for addr in 0..self.shadow.len() {
-            self.shadow[addr] = self.codec.decode(self.data.read_raw(addr), self.side[addr]);
+        // Remapping moves which latched bits and stuck lanes a logical
+        // address sees, so the dirty set and the whole view are rebuilt —
+        // O(words), paid once per re-randomization.
+        for addr in 0..self.words() {
+            put_bit(&mut self.dirty, addr, self.data.stuck_mask_at(addr) != 0);
+            let decoded = self.codec.decode(self.data.read(addr), self.side[addr]);
+            self.store(addr, decoded);
         }
     }
 
-    /// Test-only: enables or disables this memory's clean-word fast path
-    /// (both settings are observationally identical; differential tests
-    /// compare them).
+    /// Test-only: `false` routes every read through the decoder instead
+    /// of the view (both settings are observationally identical;
+    /// differential tests compare them).
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
     }
@@ -370,12 +487,17 @@ impl<C: EmtCodec> ProtectedMemory<C> {
         self.data.write(addr, enc.code);
         self.side[addr] = enc.side;
         // decode(encode(w)) == (w, Clean) for every codec (proven
-        // exhaustively in the codec test suites), so the fast-path shadow
-        // needs no decoder call here.
-        self.shadow[addr] = Decoded {
-            word,
-            outcome: DecodeOutcome::Clean,
+        // exhaustively in the codec test suites), so only a word some
+        // stuck lane touches needs a decoder call.
+        let decoded = if bit(&self.dirty, addr) {
+            self.codec.decode(self.data.read(addr), enc.side)
+        } else {
+            Decoded {
+                word,
+                outcome: DecodeOutcome::Clean,
+            }
         };
+        self.store(addr, decoded);
         self.stats.writes += 1;
     }
 
@@ -396,13 +518,20 @@ impl<C: EmtCodec> ProtectedMemory<C> {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn read_decoded(&mut self, addr: usize) -> Decoded {
-        let decoded = if self.fast_path && self.data.is_word_clean(addr) {
-            // No stuck lane touches this word: the stored code reads back
-            // exactly as written and the shadow holds its decode.
-            self.shadow[addr]
+        let decoded = if self.fast_path {
+            let outcome = if bit(&self.corrected, addr) {
+                DecodeOutcome::Corrected
+            } else if bit(&self.uncorrectable, addr) {
+                DecodeOutcome::DetectedUncorrectable
+            } else {
+                DecodeOutcome::Clean
+            };
+            Decoded {
+                word: self.view[addr],
+                outcome,
+            }
         } else {
-            let code = self.data.read(addr);
-            self.codec.decode(code, self.side[addr])
+            self.codec.decode(self.data.read(addr), self.side[addr])
         };
         self.stats.reads += 1;
         match decoded.outcome {
@@ -445,11 +574,11 @@ impl<C: EmtCodec> ProtectedMemory<C> {
             let enc = self.codec.encode(word);
             self.data.write(addr, enc.code);
             self.side[addr] = enc.side;
-            self.shadow[addr] = Decoded {
-                word,
-                outcome: DecodeOutcome::Clean,
-            };
         }
+        self.view[base..end].copy_from_slice(data);
+        fill_bits(&mut self.corrected, base, end, false);
+        fill_bits(&mut self.uncorrectable, base, end, false);
+        self.decode_dirty(base, end);
     }
 
     /// Reads `out.len()` consecutive words starting at `base` — the block
@@ -464,26 +593,23 @@ impl<C: EmtCodec> ProtectedMemory<C> {
             .checked_add(out.len())
             .expect("block end overflows usize");
         assert!(end <= self.words(), "block read out of range");
-        let mut corrected = 0u64;
-        let mut uncorrectable = 0u64;
+        self.stats.reads += out.len() as u64;
+        if self.fast_path {
+            out.copy_from_slice(&self.view[base..end]);
+            self.stats.corrected_reads += count_bits(&self.corrected, base, end);
+            self.stats.uncorrectable_reads += count_bits(&self.uncorrectable, base, end);
+            return;
+        }
         for (i, slot) in out.iter_mut().enumerate() {
             let addr = base + i;
-            let decoded = if self.fast_path && self.data.is_word_clean(addr) {
-                self.shadow[addr]
-            } else {
-                let code = self.data.read(addr);
-                self.codec.decode(code, self.side[addr])
-            };
+            let decoded = self.codec.decode(self.data.read(addr), self.side[addr]);
             match decoded.outcome {
-                DecodeOutcome::Corrected => corrected += 1,
-                DecodeOutcome::DetectedUncorrectable => uncorrectable += 1,
+                DecodeOutcome::Corrected => self.stats.corrected_reads += 1,
+                DecodeOutcome::DetectedUncorrectable => self.stats.uncorrectable_reads += 1,
                 DecodeOutcome::Clean => {}
             }
             *slot = decoded.word;
         }
-        self.stats.reads += out.len() as u64;
-        self.stats.corrected_reads += corrected;
-        self.stats.uncorrectable_reads += uncorrectable;
     }
 
     /// Prices the accumulated statistics with `bundle` at supply `data_v`
@@ -654,7 +780,7 @@ mod tests {
     fn uninitialized_reads_identical_with_and_without_fast_path() {
         // Reading a never-written word decodes the zeroed arrays — for
         // DREAM that is a *Corrected* non-zero word (side word 0 means
-        // "run of 1, positive"), which the shadow must reproduce exactly.
+        // "run of 1, positive"), which the view must reproduce exactly.
         for kind in EmtKind::all() {
             let run = |fast: bool| {
                 let mut mem = ProtectedMemory::new(kind, geometry());
@@ -667,10 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn scrambler_install_rebuilds_the_fast_path_shadow() {
+    fn scrambler_install_rebuilds_the_view() {
         // Installing a scrambler *after* writes remaps which latched bits
-        // each logical address sees; fast-path reads must still match the
-        // full decoder exactly.
+        // each logical address sees; view reads must still match the full
+        // decoder exactly.
         let map = FaultMap::generate(64, 22, 0.05, 23);
         for kind in EmtKind::paper_set() {
             let run = |fast: bool| {
@@ -702,5 +828,141 @@ mod tests {
             assert_eq!(facade.read_decoded(i), typed.read_decoded(i), "word {i}");
         }
         assert_eq!(facade.stats(), typed.stats());
+    }
+
+    mod view_props {
+        use super::super::*;
+        use dream_mem::AddressScrambler;
+        use proptest::prelude::*;
+
+        /// Not a multiple of 64, so the last bitset block is partial.
+        const WORDS: usize = 150;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Write(usize, i16),
+            WriteBlock(usize, Vec<i16>),
+            PreloadBlock(usize, Vec<i16>),
+            Read(usize),
+            ReadBlock(usize, usize),
+            Scramble(u64),
+            Reset(f64, u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            (
+                0u8..7,
+                0..WORDS,
+                0usize..80,
+                any::<i16>(),
+                any::<u64>(),
+                0.0f64..0.3,
+            )
+                .prop_map(|(kind, addr, len, word, seed, ber)| {
+                    let len = len.min(WORDS - addr);
+                    let block = (0..len as i16)
+                        .map(|i| word.wrapping_add(i.wrapping_mul(977)))
+                        .collect();
+                    match kind {
+                        0 => Op::Write(addr, word),
+                        1 => Op::WriteBlock(addr, block),
+                        2 => Op::PreloadBlock(addr, block),
+                        3 => Op::Read(addr),
+                        4 => Op::ReadBlock(addr, len),
+                        5 => Op::Scramble(seed),
+                        // A fault-free map now and then, BER up to 0.3.
+                        _ => Op::Reset(if ber < 0.03 { 0.0 } else { ber }, seed),
+                    }
+                })
+        }
+
+        /// The three memories under comparison: reads from the view, reads
+        /// through the decoder, and a memory freshly constructed at every
+        /// reset instead of re-armed.
+        struct Trio {
+            view: ProtectedMemory,
+            decoder: ProtectedMemory,
+            fresh: ProtectedMemory,
+        }
+
+        impl Trio {
+            fn new(kind: EmtKind, map: &FaultMap) -> Self {
+                let geometry = MemGeometry::new(WORDS, 16, 1);
+                let build = || ProtectedMemory::with_fault_map(kind, geometry, map);
+                let mut decoder = build();
+                decoder.set_fast_path(false);
+                Trio {
+                    view: build(),
+                    decoder,
+                    fresh: build(),
+                }
+            }
+
+            fn each(&mut self, mut f: impl FnMut(&mut ProtectedMemory)) {
+                f(&mut self.view);
+                f(&mut self.decoder);
+                f(&mut self.fresh);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            /// Random sequences of every mutating and reading operation,
+            /// including reads of never-written words and scramblers
+            /// installed after writes, read identically (word, outcome and
+            /// statistics) from the view, through the decoder, and from a
+            /// freshly constructed memory, for every EMT.
+            #[test]
+            fn view_reads_match_the_decoder_and_fresh_memories(
+                ber in 0.0f64..0.3,
+                seed in any::<u64>(),
+                ops in prop::collection::vec(op(), 1..48),
+            ) {
+                for kind in EmtKind::all() {
+                    let map = FaultMap::generate(WORDS, 22, ber, seed);
+                    let mut trio = Trio::new(kind, &map);
+                    for (step, op) in ops.iter().enumerate() {
+                        let mut reads = Vec::new();
+                        match op {
+                            Op::Write(addr, word) => trio.each(|m| m.write(*addr, *word)),
+                            Op::WriteBlock(base, data) => trio.each(|m| m.write_block(*base, data)),
+                            Op::PreloadBlock(base, data) => {
+                                trio.each(|m| m.preload_block(*base, data))
+                            }
+                            Op::Read(addr) => trio.each(|m| {
+                                let d = m.read_decoded(*addr);
+                                reads.push(vec![(d.word, Some(d.outcome))]);
+                            }),
+                            Op::ReadBlock(base, len) => trio.each(|m| {
+                                let mut out = vec![0i16; *len];
+                                m.read_block(*base, &mut out);
+                                reads.push(out.into_iter().map(|w| (w, None)).collect());
+                            }),
+                            Op::Scramble(key) => trio.each(|m| {
+                                m.set_scrambler(AddressScrambler::new(WORDS, *key))
+                            }),
+                            Op::Reset(ber, seed) => {
+                                let map = FaultMap::generate(WORDS, 22, *ber, *seed);
+                                trio.view.reset_with_fault_map(&map);
+                                trio.decoder.reset_with_fault_map(&map);
+                                trio.decoder.set_fast_path(false);
+                                trio.fresh = ProtectedMemory::with_fault_map(
+                                    kind,
+                                    MemGeometry::new(WORDS, 16, 1),
+                                    &map,
+                                );
+                            }
+                        }
+                        if let [view, decoder, fresh] = &reads[..] {
+                            prop_assert_eq!(view, decoder, "{} step {} {:?}", kind, step, op);
+                            prop_assert_eq!(view, fresh, "{} step {} {:?}", kind, step, op);
+                        }
+                        let stats = trio.view.stats();
+                        prop_assert_eq!(stats, trio.decoder.stats(), "{} step {}", kind, step);
+                        prop_assert_eq!(stats, trio.fresh.stats(), "{} step {}", kind, step);
+                    }
+                }
+            }
+        }
     }
 }

@@ -220,6 +220,31 @@ impl FaultMap {
             .count()
     }
 
+    /// Packs "word `w` has a stuck cell" into bit `w % 64` of
+    /// `out[w / 64]`, resizing `out` to `ceil(words / 64)` entries (bits
+    /// past the last word are zero). One pass over the masks, with no
+    /// allocation when `out` already has the capacity — how a protected
+    /// memory learns which words its reads must decode.
+    pub fn pack_stuck_words(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(self.stuck_mask.chunks(64).map(|chunk| {
+            // One flag byte per word (a loop the compiler vectorizes),
+            // then each 8 flag bytes gathered into 8 bits by one multiply:
+            // byte i of `x` lands on bit 56 + i of the product.
+            let mut flags = [0u8; 64];
+            for (flag, &mask) in flags.iter_mut().zip(chunk) {
+                *flag = u8::from(mask != 0);
+            }
+            flags
+                .chunks_exact(8)
+                .enumerate()
+                .fold(0u64, |bits, (j, eight)| {
+                    let x = u64::from_le_bytes(eight.try_into().expect("8 flag bytes"));
+                    bits | (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
+                })
+        }));
+    }
+
     /// Iterates over `(word, bit, polarity)` for every stuck cell.
     pub fn iter_faults(&self) -> impl Iterator<Item = (usize, u32, StuckAt)> + '_ {
         self.stuck_mask
@@ -415,6 +440,20 @@ mod tests {
         let mut narrow = FaultMap::generate(512, 16, 0.5, 3); // stale content
         narrow.copy_narrowed_from(&wide);
         assert_eq!(narrow, wide.with_width(16));
+    }
+
+    #[test]
+    fn packed_stuck_words_match_the_masks() {
+        for words in [0, 1, 63, 64, 65, 200] {
+            let map = FaultMap::generate(words, 22, 2e-2, words as u64);
+            let mut packed = vec![u64::MAX; 9]; // stale content and length
+            map.pack_stuck_words(&mut packed);
+            assert_eq!(packed.len(), words.div_ceil(64));
+            for w in 0..packed.len() * 64 {
+                let bit = packed[w / 64] >> (w % 64) & 1 == 1;
+                assert_eq!(bit, w < words && map.stuck_mask(w) != 0, "word {w}");
+            }
+        }
     }
 
     #[test]

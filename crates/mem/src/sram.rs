@@ -212,18 +212,6 @@ impl FaultySram {
         }
     }
 
-    /// True when no stuck cell touches the logical word `addr` — the read
-    /// of such a word returns exactly what was written, which is what the
-    /// protected-memory clean-word fast path keys on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    #[inline]
-    pub fn is_word_clean(&self, addr: usize) -> bool {
-        self.faults.stuck_mask(self.phys(addr)) == 0
-    }
-
     /// The stuck-bit lanes seen by the logical word `addr` (the fault map
     /// is physical; this resolves the scrambling for callers).
     ///
@@ -320,22 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn clean_word_accessors_resolve_scrambling() {
+    fn stuck_mask_accessor_resolves_scrambling() {
         let mut map = FaultMap::empty(16, 16);
         map.inject(7, 3, StuckAt::One);
         let mut sram = FaultySram::with_faults(small(), map);
-        assert!(!sram.is_word_clean(7));
         assert_eq!(sram.stuck_mask_at(7), 0b1000);
-        assert!(sram.is_word_clean(6));
+        assert_eq!(sram.stuck_mask_at(6), 0);
         // After scrambling, exactly one *logical* address sees the fault,
-        // and the accessors must agree with the read path about which.
+        // and the accessor must agree with the read path about which.
         sram.set_scrambler(AddressScrambler::new(16, 0xFEED));
-        let dirty: Vec<usize> = (0..16).filter(|&a| !sram.is_word_clean(a)).collect();
+        let dirty: Vec<usize> = (0..16).filter(|&a| sram.stuck_mask_at(a) != 0).collect();
         assert_eq!(dirty.len(), 1);
         for a in 0..16 {
             sram.write(a, 0);
-            assert_eq!(sram.read(a) != 0, !sram.is_word_clean(a), "addr {a}");
-            assert_eq!(sram.stuck_mask_at(a) == 0, sram.is_word_clean(a));
+            assert_eq!(sram.read(a) != 0, sram.stuck_mask_at(a) != 0, "addr {a}");
         }
     }
 

@@ -57,8 +57,10 @@ impl Json {
     /// Returns a [`ParseError`] on malformed input.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -233,9 +235,17 @@ fn format_number(n: f64) -> String {
     }
 }
 
+/// How deeply arrays and objects may nest. Specs need a handful of
+/// levels; the bound keeps the recursive descent from overflowing a
+/// thread's stack on hostile input such as a body of a million `[`.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -276,8 +286,19 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.error(&format!("unexpected byte {:?}", other as char))),
         }
@@ -380,11 +401,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.error("empty"))?;
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // by whole characters, so it sits on a boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -454,6 +477,41 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_mebibyte_of_open_brackets_is_an_error_not_a_stack_overflow() {
+        // Spawned threads get the default 2 MiB stack, as the service's
+        // handler threads do; unbounded recursion aborted the process.
+        let body = "[".repeat(1 << 20);
+        let parsed = std::thread::spawn(move || Json::parse(&body).is_err())
+            .join()
+            .expect("parse thread");
+        assert!(parsed);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let text = format!("\"{}é\"", "a".repeat(1 << 20));
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.as_str().map(str::len), Some((1 << 20) + 2));
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

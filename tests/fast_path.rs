@@ -1,5 +1,5 @@
-//! The clean-word fast path must be unobservable: forcing the full
-//! decoder on every read has to reproduce campaign outputs, CSV bytes and
+//! The protected memory's view read path must be unobservable: forcing
+//! the full decoder on every read has to reproduce campaign outputs, CSV bytes and
 //! access statistics bit for bit. These differential tests pin that
 //! contract at fig2 scale and on fig4-style mid-BER fault maps.
 

@@ -4,6 +4,7 @@
 //! from a JSON spec file, through every sink format, with identical rows.
 
 use dream_suite::sim::report::{CsvSink, JsonlSink, Sink, TableSink};
+use dream_suite::sim::scenario::json::Json;
 use dream_suite::sim::scenario::{
     registry, CampaignRunner, EngineError, FaultModelSpec, Grid, Scenario, ScenarioOutcome,
     SinkSpec,
@@ -240,6 +241,32 @@ proptest! {
     #[test]
     fn sink_grammar_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..48)) {
         sink_token_round_trips(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Hostile spec bodies: arbitrary bytes, read as lossy UTF-8, give a
+    /// `Json` or a `ParseError`, never a panic.
+    #[test]
+    fn json_parse_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// JSON fragments in any order — deep nesting, escapes, numbers — so
+    /// documents that parse are exercised too; every `Ok` round-trips
+    /// through `pretty()`.
+    #[test]
+    fn json_parse_round_trips_fragment_soup(
+        parts in prop::collection::vec(
+            prop::sample::select(vec![
+                "[", "]", "{", "}", ",", ":", "\"k\"", "\"\\u00e9\"", "\"\\", "1", "-2.5e3", "null",
+                "true", " ", "é", "\u{0}",
+            ]),
+            0..96,
+        ),
+    ) {
+        let text = parts.concat();
+        if let Ok(doc) = Json::parse(&text) {
+            prop_assert_eq!(Json::parse(&doc.pretty()), Ok(doc), "{:?}", text);
+        }
     }
 
     /// Near-miss input: grammar fragments in any order, so the `Ok` side

@@ -11,7 +11,8 @@
 //!   grid points, sheds new submissions with `503`, and leaves a
 //!   resumable prefix a restarted server completes deterministically.
 //! * Protocol garbage — malformed, oversized, and slow-loris requests
-//!   get JSON error bodies (`400`/`431`/`408`), never a silent drop.
+//!   get JSON error bodies (`400`/`431`/`408`), never a silent drop, and
+//!   a spec nested a mebibyte deep is a `400`, not a crashed server.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -346,7 +347,15 @@ fn protocol_garbage_gets_json_errors_not_silent_drops() {
     };
     assert!(loris.starts_with("HTTP/1.1 408 "), "{loris}");
 
-    // The health endpoint reports the satellite-mandated fields.
+    // A spec nested a mebibyte deep is a 400 JSON error, not a stack
+    // overflow that aborts the whole server; the server keeps answering.
+    let nested = client_request(&addr, "POST", "/campaigns", "[".repeat(1 << 20).as_bytes())
+        .expect("nested spec");
+    assert_eq!(nested.status, 400);
+    let nested_body = String::from_utf8(nested.body).expect("UTF-8");
+    assert!(nested_body.contains("nesting"), "{nested_body}");
+
+    // The health endpoint reports the expected fields.
     let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
     assert_eq!(health.status, 200);
     let body = String::from_utf8(health.body).expect("UTF-8");
