@@ -22,7 +22,8 @@ const SWITCHES: &[&str] = &["smoke", "progress", "worker", "exit", "list"];
 ///
 /// The switches `--smoke`, `--progress`, `--worker`, `--exit` and
 /// `--list` never take a value; any other flag takes the next token as
-/// its value unless that token is itself a flag (`--batch` alone means
+/// its value unless that token is itself a flag. A flag read for its
+/// value but given without one panics naming it (`--batch` alone means
 /// on).
 ///
 /// ```
@@ -64,12 +65,22 @@ impl Args {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// The value of `--key value`, if present.
+    /// The value of `--key value`, if `--key` was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming `--key` when it was given without a value.
     pub fn value(&self, key: &str) -> Option<&str> {
+        self.given(key)
+            .map(|v| v.unwrap_or_else(|| panic!("--{key} expects a value")))
+    }
+
+    /// `Some(value)` when `--key` was given, its value `None` when bare.
+    fn given(&self, key: &str) -> Option<Option<&str>> {
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_deref())
+            .map(|(_, v)| v.as_deref())
     }
 
     /// True when `--key` was given (with or without a value).
@@ -141,13 +152,11 @@ pub fn apply_threads(args: &Args, default: usize) -> usize {
 /// batching on, `off`/`false`/`0` turns it off. Batching changes
 /// scheduling only — output bytes are identical either way.
 pub fn apply_batch(args: &Args, default: bool) -> bool {
-    if !args.switch("batch") {
-        return default;
-    }
-    match args.value("batch") {
-        None | Some("on" | "true" | "1") => true,
-        Some("off" | "false" | "0") => false,
-        Some(other) => panic!("--batch expects on|off, got {other:?}"),
+    match args.given("batch") {
+        None => default,
+        Some(None | Some("on" | "true" | "1")) => true,
+        Some(Some("off" | "false" | "0")) => false,
+        Some(Some(other)) => panic!("--batch expects on|off, got {other:?}"),
     }
 }
 
@@ -190,7 +199,7 @@ mod tests {
         );
         assert_eq!(a.positional(1), Some("fig2"));
         assert!(a.switch("smoke") && a.switch("progress"));
-        assert_eq!(a.value("smoke"), None);
+        assert_eq!(a.given("smoke"), Some(None));
         assert!(!apply_batch(&a, true));
         let bare = Args::parse(["--batch", "--smoke"].iter().map(|s| s.to_string()));
         assert!(apply_batch(&bare, false));
@@ -212,5 +221,16 @@ mod tests {
     fn bad_number_panics() {
         let a = Args::parse(["--runs", "many"].iter().map(|s| s.to_string()));
         let _ = a.number("runs", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "--trials expects a value")]
+    fn value_flag_without_a_value_panics() {
+        let a = Args::parse(
+            ["run", "fig2", "--smoke", "--records", "1", "--trials"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        let _ = a.number("trials", 2);
     }
 }

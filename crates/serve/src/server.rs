@@ -21,9 +21,10 @@
 //! trial (`X-Dream-Cache: hit`); one currently running attaches to the
 //! in-flight stream (`join`); anything else enqueues (`miss`). An
 //! interrupted campaign — rows on disk but no completion marker — resumes
-//! where it stopped: the engine is deterministic, so the worker re-runs
-//! the spec with the already-persisted row prefix skipped and appends
-//! only what is missing.
+//! where it stopped: [`ShardPlan::resume`] keeps the whole grid units
+//! already persisted, and the worker runs only the spec of the remaining
+//! units and appends their rows (a coordinator keeps whole shards and
+//! fetches the rest).
 //!
 //! Every response streams straight from the artifact file, so a cache
 //! hit, a join, and a fresh run all produce byte-identical bodies.
@@ -83,7 +84,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use dream_sim::report::JsonlSink;
-use dream_sim::scenario::json::json_string;
+use dream_sim::scenario::json::{u64_json, Json};
 use dream_sim::scenario::{
     registry, CampaignRunner, CancelToken, EngineError, Scenario, Shard, ShardPlan, SinkFormat,
     SinkSpec,
@@ -663,67 +664,85 @@ fn worker_loop(state: &Arc<State>, jobs: &Arc<Mutex<mpsc::Receiver<Job>>>) {
 
 /// Runs (or resumes) one campaign. A coordinator with a non-trivial
 /// [`ShardPlan`] fans out to its shard workers; everything else executes
-/// the engine directly, appending missing rows to the artifact and
-/// writing the completion marker last. A fired `token` (drain) leaves the
-/// artifact as a resumable prefix: rows already appended stay, no marker
-/// is written.
+/// the engine directly. Either way the artifact is first cut back to the
+/// whole units it already holds, only the missing units run, and their
+/// rows are appended; the completion marker is written last. A fired
+/// `token` (drain) leaves the artifact as a resumable prefix: rows
+/// already appended stay, no marker is written.
+///
+/// Cutting whole rows off an artifact that followers stream is safe: a
+/// follower's offset sits on a row boundary, and the deterministic engine
+/// appends the same bytes at the same offsets again.
 fn execute_campaign(state: &Arc<State>, job: &Job, token: &CancelToken) -> Result<(), EngineError> {
+    let on_disk = state.store.existing_row_count(&job.id)?;
     if !job.direct && state.shards > 1 && !state.remote.is_empty() {
         let plan = ShardPlan::new(&job.spec, state.shards)?;
         if !plan.is_trivial() {
-            return execute_sharded(state, job, token, &plan);
+            return execute_sharded(state, job, token, &plan, on_disk);
         }
     }
 
-    let existing = state.store.truncate_ragged_tail(&job.id)?;
-    let mut sink = JsonlSink::append(&state.store.rows_path(&job.id))?;
-
+    let (kept, rest) = ShardPlan::resume(&job.spec, on_disk)?;
+    state.store.truncate_rows(&job.id, kept)?;
     state.stats.campaigns_run.fetch_add(1, Ordering::Relaxed);
-    state
-        .stats
-        .trials_executed
-        .fetch_add(job.spec.flatten().len() as u64, Ordering::Relaxed);
 
-    let notifier = Arc::clone(state);
-    let outcome = CampaignRunner::new(job.spec.clone())
-        .threads(state.threads)
-        .skip_rows(existing)
-        .cancel_token(token.clone())
-        .on_progress(move |_| notifier.notify())
-        .run(&mut sink);
-    state.batch_telemetry.absorb(telemetry::take());
-    let outcome = outcome?;
+    let mut appended = 0;
+    if let Some(rest) = rest {
+        state
+            .stats
+            .trials_executed
+            .fetch_add(rest.flatten().len() as u64, Ordering::Relaxed);
+        let mut sink = JsonlSink::append(&state.store.rows_path(&job.id))?;
+        let notifier = Arc::clone(state);
+        let outcome = CampaignRunner::new(rest)
+            .threads(state.threads)
+            .cancel_token(token.clone())
+            .on_progress(move |_| notifier.notify())
+            .run(&mut sink);
+        state.batch_telemetry.absorb(telemetry::take());
+        appended = outcome?.rows.len();
+    }
 
     state
         .store
-        .mark_complete(&job.id, &job.spec, outcome.rows.len())?;
+        .mark_complete(&job.id, &job.spec, kept + appended)?;
     Ok(())
 }
 
-/// Coordinator path: fetch every shard's sub-artifact concurrently (each
-/// cached under its own [`campaign_id`], so only missing shards touch a
-/// worker), then append them to the parent artifact strictly in plan
-/// order. The reassembled bytes are identical to a serial run — that is
-/// [`ShardPlan`]'s contract — so replay/join/resume semantics of the
-/// parent id are untouched.
+/// Coordinator path: cut the parent artifact back to the last shard
+/// boundary it reaches, fetch every shard from there on concurrently
+/// (each cached under its own [`campaign_id`], so only missing shards
+/// touch a worker), then append them whole to the parent artifact
+/// strictly in plan order. The reassembled bytes are identical to a
+/// serial run — that is [`ShardPlan`]'s contract — so replay/join/resume
+/// semantics of the parent id are untouched.
 fn execute_sharded(
     state: &Arc<State>,
     job: &Job,
     token: &CancelToken,
     plan: &ShardPlan,
+    on_disk: usize,
 ) -> Result<(), EngineError> {
-    let existing = state.store.truncate_ragged_tail(&job.id)?;
+    let done = plan
+        .shards()
+        .partition_point(|s| s.row_offset + s.rows.unwrap_or(0) <= on_disk);
+    let kept: usize = plan.shards()[..done].iter().filter_map(|s| s.rows).sum();
+    state.store.truncate_rows(&job.id, kept)?;
     state.stats.campaigns_run.fetch_add(1, Ordering::Relaxed);
+    let missing = &plan.shards()[done..];
     state
         .shard_counters
         .queued
-        .fetch_add(plan.len() as u64, Ordering::Relaxed);
+        .fetch_add(missing.len() as u64, Ordering::Relaxed);
 
     let total = plan.len();
-    let mut appended = existing;
+    let mut parent = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(state.store.rows_path(&job.id))?;
+    let mut appended = kept;
     let reassembled: Result<(), EngineError> = thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .shards()
+        let handles: Vec<_> = missing
             .iter()
             .map(|shard| {
                 let sid = campaign_id(&shard.spec);
@@ -733,10 +752,9 @@ fn execute_sharded(
                 })
             })
             .collect();
-        for (i, handle) in handles.into_iter().enumerate() {
+        for (shard, handle) in missing.iter().zip(handles) {
             let (sid, fetched) = handle.join().expect("shard fetch thread");
             let rows = fetched.map_err(EngineError::Io)?;
-            let shard = &plan.shards()[i];
             if let Some(expected) = shard.rows {
                 if rows != expected {
                     return Err(EngineError::Io(io::Error::new(
@@ -745,13 +763,14 @@ fn execute_sharded(
                     )));
                 }
             }
-            append_shard(state, &job.id, &sid, shard, rows, &mut appended)?;
+            parent.write_all(&std::fs::read(state.store.rows_path(&sid))?)?;
+            appended += rows;
             state.shard_counters.done.fetch_add(1, Ordering::Relaxed);
             state.notify();
             eprintln!(
                 "dream serve: campaign {} shard {}/{total} reassembled ({appended} rows)",
                 job.id,
-                i + 1,
+                shard.index + 1,
             );
             if token.is_cancelled() {
                 return Err(EngineError::Cancelled);
@@ -829,52 +848,6 @@ fn fetch_shard_inner(state: &Arc<State>, sid: &str, shard: &Shard) -> io::Result
     Err(last_error)
 }
 
-/// Appends shard `sid`'s rows to the parent artifact, skipping whatever
-/// prefix an earlier (interrupted) reassembly already persisted — the
-/// skip-rows resume landing mid-shard.
-fn append_shard(
-    state: &Arc<State>,
-    parent: &str,
-    sid: &str,
-    shard: &Shard,
-    rows: usize,
-    appended: &mut usize,
-) -> io::Result<()> {
-    let already = appended.saturating_sub(shard.row_offset);
-    if already < rows {
-        let data = std::fs::read(state.store.rows_path(sid))?;
-        let skip = row_byte_offset(&data, already);
-        let mut out = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(state.store.rows_path(parent))?;
-        out.write_all(&data[skip..])?;
-        out.flush()?;
-    }
-    // Monotonic: a fully covered shard must not pull the watermark back
-    // below rows the interrupted reassembly already persisted from the
-    // *next* shard.
-    *appended = (*appended).max(shard.row_offset + rows);
-    Ok(())
-}
-
-/// Byte offset where row `rows` starts in a JSONL buffer.
-fn row_byte_offset(data: &[u8], rows: usize) -> usize {
-    if rows == 0 {
-        return 0;
-    }
-    let mut seen = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            seen += 1;
-            if seen == rows {
-                return i + 1;
-            }
-        }
-    }
-    data.len()
-}
-
 fn handle_connection(state: &Arc<State>, stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(state.read_timeout))?;
     stream.set_write_timeout(Some(state.write_timeout))?;
@@ -930,7 +903,7 @@ fn error_response(
     reason: &str,
     message: &str,
 ) -> io::Result<()> {
-    let body = format!("{{\"error\": {}}}\n", json_string(message));
+    let body = json_body(vec![("error", Json::Str(message.into()))]);
     write_response(
         stream,
         status,
@@ -939,6 +912,12 @@ fn error_response(
         &[],
         body.as_bytes(),
     )
+}
+
+/// Renders `(key, value)` fields as a one-line JSON object body.
+fn json_body(fields: Vec<(&str, Json)>) -> String {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    format!("{}\n", Json::Obj(fields.collect()).compact())
 }
 
 /// Sheds one submission: `429` (queue full) or `503` (draining), both
@@ -952,7 +931,7 @@ fn shed_response(
 ) -> io::Result<()> {
     state.stats.shed.fetch_add(1, Ordering::Relaxed);
     let retry_after = state.retry_after_secs.to_string();
-    let body = format!("{{\"error\": {}}}\n", json_string(message));
+    let body = json_body(vec![("error", Json::Str(message.into()))]);
     write_response(
         stream,
         status,
@@ -964,42 +943,40 @@ fn shed_response(
 }
 
 fn get_presets(stream: &mut TcpStream) -> io::Result<()> {
-    let entries: Vec<String> = registry::catalog()
+    let entries = registry::catalog()
         .into_iter()
         .map(|(name, kind, axis, points, title)| {
-            format!(
-                "  {{\"name\": {}, \"kind\": {}, \"axis\": {}, \"points\": {points}, \"title\": {}}}",
-                json_string(&name),
-                json_string(kind),
-                json_string(axis),
-                json_string(&title)
-            )
+            Json::Obj(vec![
+                ("name".into(), Json::Str(name)),
+                ("kind".into(), Json::Str(kind.into())),
+                ("axis".into(), Json::Str(axis.into())),
+                ("points".into(), u64_json(points as u64)),
+                ("title".into(), Json::Str(title)),
+            ])
         })
         .collect();
-    let body = format!("[\n{}\n]\n", entries.join(",\n"));
+    let body = format!("{}\n", Json::Arr(entries).compact());
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
 
 fn get_stats(state: &Arc<State>, stream: &mut TcpStream) -> io::Result<()> {
     let t = state.batch_telemetry.snapshot();
-    let body = format!(
-        "{{\"campaigns_run\": {}, \"cache_hits\": {}, \"trials_executed\": {}, \"shed\": {}, \"bad_requests\": {}, \
-         \"lanes\": {}, \"evicted\": {}, \"bailed\": {}, \"clean_replays\": {}, \"traces_recorded\": {}, \
-         \"eviction_rate\": {:.4}, \"bailout_rate\": {:.4}, \"shards_done\": {}}}\n",
-        state.stats.campaigns_run.load(Ordering::Relaxed),
-        state.stats.cache_hits.load(Ordering::Relaxed),
-        state.stats.trials_executed.load(Ordering::Relaxed),
-        state.stats.shed.load(Ordering::Relaxed),
-        state.stats.bad_requests.load(Ordering::Relaxed),
-        t.lanes,
-        t.evicted,
-        t.bailed,
-        t.clean_replays,
-        t.traces_recorded,
-        t.eviction_rate(),
-        t.bailout_rate(),
-        state.shard_counters.done.load(Ordering::Relaxed),
-    );
+    let load = |counter: &AtomicU64| u64_json(counter.load(Ordering::Relaxed));
+    let body = json_body(vec![
+        ("campaigns_run", load(&state.stats.campaigns_run)),
+        ("cache_hits", load(&state.stats.cache_hits)),
+        ("trials_executed", load(&state.stats.trials_executed)),
+        ("shed", load(&state.stats.shed)),
+        ("bad_requests", load(&state.stats.bad_requests)),
+        ("lanes", u64_json(t.lanes)),
+        ("evicted", u64_json(t.evicted)),
+        ("bailed", u64_json(t.bailed)),
+        ("clean_replays", u64_json(t.clean_replays)),
+        ("traces_recorded", u64_json(t.traces_recorded)),
+        ("eviction_rate", Json::Num(t.eviction_rate())),
+        ("bailout_rate", Json::Num(t.bailout_rate())),
+        ("shards_done", load(&state.shard_counters.done)),
+    ]);
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
 
@@ -1018,22 +995,26 @@ fn get_healthz(state: &Arc<State>, stream: &mut TcpStream) -> io::Result<()> {
         .iter()
         .filter(|slot| slot.alive.load(Ordering::Relaxed))
         .count();
-    let body = format!(
-        "{{\"status\": \"{status}\", \"version\": {}, \"workers\": {}, \"queue_depth\": {}, \"queue_capacity\": {}, \"running\": {}, \"campaigns\": {campaigns}, \"trials_executed\": {}, \
-         \"shards_configured\": {}, \"shards_queued\": {}, \"shards_running\": {}, \"shards_done\": {}, \
-         \"shard_workers_configured\": {}, \"shard_workers_alive\": {alive}}}\n",
-        json_string(env!("CARGO_PKG_VERSION")),
-        state.workers,
-        state.queued.load(Ordering::SeqCst),
-        state.queue_capacity,
-        state.running.load(Ordering::SeqCst),
-        state.stats.trials_executed.load(Ordering::Relaxed),
-        state.shards,
-        state.shard_counters.queued.load(Ordering::Relaxed),
-        state.shard_counters.running.load(Ordering::Relaxed),
-        state.shard_counters.done.load(Ordering::Relaxed),
-        state.remote.len(),
-    );
+    let load = |counter: &AtomicU64| u64_json(counter.load(Ordering::SeqCst));
+    let body = json_body(vec![
+        ("status", Json::Str(status.into())),
+        ("version", Json::Str(env!("CARGO_PKG_VERSION").into())),
+        ("workers", u64_json(state.workers as u64)),
+        ("queue_depth", load(&state.queued)),
+        ("queue_capacity", u64_json(state.queue_capacity as u64)),
+        ("running", load(&state.running)),
+        ("campaigns", u64_json(campaigns as u64)),
+        ("trials_executed", load(&state.stats.trials_executed)),
+        ("shards_configured", u64_json(state.shards as u64)),
+        ("shards_queued", load(&state.shard_counters.queued)),
+        ("shards_running", load(&state.shard_counters.running)),
+        ("shards_done", load(&state.shard_counters.done)),
+        (
+            "shard_workers_configured",
+            u64_json(state.remote.len() as u64),
+        ),
+        ("shard_workers_alive", u64_json(alive as u64)),
+    ]);
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
 
@@ -1064,10 +1045,12 @@ fn post_drain(state: &Arc<State>, stream: &mut TcpStream, exit: bool) -> io::Res
     // Respond before releasing the accept loop: once `run` returns the
     // process may exit, and this handler thread must not be killed with
     // the response still unsent.
-    let body = format!(
-        "{{\"status\": \"draining\", \"cancelled\": {cancelled}, \"idle\": {idle}, \"exiting\": {}}}\n",
-        exit && idle
-    );
+    let body = json_body(vec![
+        ("status", Json::Str("draining".into())),
+        ("cancelled", u64_json(cancelled as u64)),
+        ("idle", Json::Bool(idle)),
+        ("exiting", Json::Bool(exit && idle)),
+    ]);
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())?;
 
     if exit && idle {
@@ -1089,18 +1072,18 @@ fn get_status(state: &Arc<State>, stream: &mut TcpStream, id: &str) -> io::Resul
         return not_found(stream);
     };
     let rows = state.store.existing_row_count(id).unwrap_or(0);
-    let error = match &info.status {
-        Status::Failed(message) => format!(", \"error\": {}", json_string(message)),
-        _ => String::new(),
-    };
-    let body = format!(
-        "{{\"id\": {}, \"status\": {}, \"rows\": {rows}, \"spec_hash\": {}, \"seed\": {}, \"trials_total\": {}{error}}}\n",
-        json_string(id),
-        json_string(info.status.token()),
-        json_string(&spec_hash(&info.spec)),
-        info.spec.seed,
-        info.spec.flatten().len(),
-    );
+    let mut fields = vec![
+        ("id", Json::Str(id.into())),
+        ("status", Json::Str(info.status.token().into())),
+        ("rows", u64_json(rows as u64)),
+        ("spec_hash", Json::Str(spec_hash(&info.spec))),
+        ("seed", u64_json(info.spec.seed)),
+        ("trials_total", u64_json(info.spec.flatten().len() as u64)),
+    ];
+    if let Status::Failed(message) = &info.status {
+        fields.push(("error", Json::Str(message.clone())));
+    }
+    let body = json_body(fields);
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
 
@@ -1179,9 +1162,10 @@ fn post_campaign(
                 Admission::Stream("hit")
             }
             Some(Status::Queued) | Some(Status::Running) => Admission::Stream("join"),
-            // Unknown or previously failed/cancelled: (re-)enqueue. Rows
-            // already on disk from an interrupted run are kept and skipped
-            // over. Admission is bounded: no free queue slot means shed.
+            // Unknown or previously failed/cancelled: (re-)enqueue. The
+            // whole units already on disk from an interrupted run are kept
+            // and only the rest runs. Admission is bounded: no free queue
+            // slot means shed.
             _ => {
                 if !state.try_reserve_queue_slot() {
                     Admission::Full

@@ -6,7 +6,8 @@
 //! <root>/<id>/rows.jsonl  the streamed row artifact (append-only)
 //! <root>/<id>/meta.json   written last — its presence marks completion
 //! <root>/<id>/  with no meta.json = an interrupted campaign; the next
-//!               POST of the same spec resumes it via skip-rows append
+//!               POST of the same spec keeps its whole grid units and
+//!               appends the rows of the rest
 //! <root>/quarantine/<id>[-N]/  artifacts whose completion marker lied
 //!               (torn meta, checksum mismatch) — kept for autopsy, never
 //!               served; the campaign re-runs from scratch
@@ -33,10 +34,10 @@
 //! bytes; the deterministic engine simply re-runs the spec.
 
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use dream_sim::scenario::json::Json;
+use dream_sim::scenario::json::{u64_json, Json};
 use dream_sim::scenario::{Scenario, SinkSpec};
 
 use crate::hash::sha256_hex;
@@ -191,14 +192,16 @@ impl Store {
         }
     }
 
-    /// Repairs the artifact of campaign `id` for appending: truncates a
-    /// ragged final line (no trailing newline) so the next append starts
-    /// on a row boundary. Returns the surviving row count.
+    /// Prepares the artifact of campaign `id` for appending: truncates it
+    /// to its first `rows` complete rows, or to every complete row when it
+    /// holds fewer. A ragged final line (a write cut mid-row by a crash)
+    /// is always cut, so the next append starts on a row boundary.
+    /// Returns the rows kept.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn truncate_ragged_tail(&self, id: &str) -> io::Result<usize> {
+    pub fn truncate_rows(&self, id: &str, rows: usize) -> io::Result<usize> {
         let path = self.rows_path(id);
         let mut file = match fs::OpenOptions::new().read(true).write(true).open(&path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
@@ -206,12 +209,16 @@ impl Store {
         };
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        if keep < bytes.len() {
-            file.set_len(keep as u64)?;
-            file.seek(SeekFrom::End(0))?;
+        let (kept, len) = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .take(rows)
+            .fold((0, 0), |(n, _), (i, _)| (n + 1, i + 1));
+        if len < bytes.len() {
+            file.set_len(len as u64)?;
         }
-        Ok(bytes[..keep].iter().filter(|&&b| b == b'\n').count())
+        Ok(kept)
     }
 
     /// Marks campaign `id` complete with its final row count. Written
@@ -233,13 +240,14 @@ impl Store {
             // before it does.
             fs::File::open(self.rows_path(id))?.sync_all()?;
         }
-        let digest = sha256_hex(&rows_bytes);
-        let meta = format!(
-            "{{\"id\": \"{id}\", \"spec_hash\": \"{}\", \"seed\": {}, \"rows\": {rows}, \"rows_sha256\": \"{digest}\"}}\n",
-            spec_hash(sc),
-            sc.seed
-        );
-        write_atomic(&self.meta_path(id), meta.as_bytes())
+        let meta = Json::Obj(vec![
+            ("id".into(), Json::Str(id.into())),
+            ("spec_hash".into(), Json::Str(spec_hash(sc))),
+            ("seed".into(), u64_json(sc.seed)),
+            ("rows".into(), u64_json(rows as u64)),
+            ("rows_sha256".into(), Json::Str(sha256_hex(&rows_bytes))),
+        ]);
+        write_atomic(&self.meta_path(id), meta.pretty().as_bytes())
     }
 
     /// Reads and parses the completion marker of campaign `id`.
@@ -440,55 +448,51 @@ mod tests {
     }
 
     #[test]
-    fn ragged_tails_are_truncated_to_a_row_boundary() {
-        let store = temp_store("ragged");
-        let sc = registry::get("fig2", true).unwrap();
-        let id = campaign_id(&sc);
-        store.begin(&id, &sc).unwrap();
-        fs::write(store.rows_path(&id), "{\"a\": 1}\n{\"a\": 2}\n{\"a\"").unwrap();
-        // Read-only counting ignores the ragged tail…
-        assert_eq!(store.existing_row_count(&id).unwrap(), 2);
-        // …and repair removes it so appends start on a row boundary.
-        assert_eq!(store.truncate_ragged_tail(&id).unwrap(), 2);
-        assert_eq!(
-            fs::read_to_string(store.rows_path(&id)).unwrap(),
-            "{\"a\": 1}\n{\"a\": 2}\n"
-        );
-    }
-
-    #[test]
-    fn truncate_ragged_tail_edge_cases() {
+    fn truncate_rows_edge_cases() {
         let store = temp_store("ragged_edges");
         let sc = registry::get("fig2", true).unwrap();
         let id = campaign_id(&sc);
         store.begin(&id, &sc).unwrap();
 
         // Missing file: nothing to repair, zero rows.
-        assert_eq!(store.truncate_ragged_tail(&id).unwrap(), 0);
+        assert_eq!(store.truncate_rows(&id, usize::MAX).unwrap(), 0);
 
         // Empty file: stays empty, zero rows.
         fs::write(store.rows_path(&id), "").unwrap();
-        assert_eq!(store.truncate_ragged_tail(&id).unwrap(), 0);
+        assert_eq!(store.truncate_rows(&id, usize::MAX).unwrap(), 0);
         assert_eq!(fs::read(store.rows_path(&id)).unwrap(), b"");
 
         // A single partial line (crash inside the very first row): the
         // whole file is the ragged tail.
         fs::write(store.rows_path(&id), "{\"a\": ").unwrap();
-        assert_eq!(store.truncate_ragged_tail(&id).unwrap(), 0);
+        assert_eq!(store.truncate_rows(&id, usize::MAX).unwrap(), 0);
         assert_eq!(fs::read(store.rows_path(&id)).unwrap(), b"");
 
         // A trailing newline-only tail is already on a row boundary —
         // nothing is cut, nothing is counted twice.
         fs::write(store.rows_path(&id), "{\"a\": 1}\n\n").unwrap();
-        assert_eq!(store.truncate_ragged_tail(&id).unwrap(), 2);
+        assert_eq!(store.truncate_rows(&id, usize::MAX).unwrap(), 2);
         assert_eq!(fs::read(store.rows_path(&id)).unwrap(), b"{\"a\": 1}\n\n");
 
         // CRLF endings: the CR belongs to the row, the LF terminates it;
         // a complete CRLF row survives, a ragged tail after it is cut.
         fs::write(store.rows_path(&id), "{\"a\": 1}\r\n{\"b\"").unwrap();
-        assert_eq!(store.truncate_ragged_tail(&id).unwrap(), 1);
+        assert_eq!(store.truncate_rows(&id, usize::MAX).unwrap(), 1);
         assert_eq!(fs::read(store.rows_path(&id)).unwrap(), b"{\"a\": 1}\r\n");
         assert_eq!(store.existing_row_count(&id).unwrap(), 1);
+
+        // Read-only counting ignores a ragged tail; a row count below what
+        // is present keeps exactly that prefix and cuts the tail too.
+        let rows = "{\"a\": 1}\n{\"a\": 2}\n{\"a\": 3}\n{\"a\"";
+        fs::write(store.rows_path(&id), rows).unwrap();
+        assert_eq!(store.existing_row_count(&id).unwrap(), 3);
+        assert_eq!(store.truncate_rows(&id, 2).unwrap(), 2);
+        assert_eq!(
+            fs::read_to_string(store.rows_path(&id)).unwrap(),
+            "{\"a\": 1}\n{\"a\": 2}\n"
+        );
+        assert_eq!(store.truncate_rows(&id, 0).unwrap(), 0);
+        assert_eq!(fs::read(store.rows_path(&id)).unwrap(), b"");
     }
 
     #[test]
@@ -552,6 +556,14 @@ mod tests {
             matches!(&verdict, Integrity::Corrupt(r) if r.contains("row count")),
             "{verdict:?}"
         );
+
+        // A true marker in the one-line layout older stores wrote verifies.
+        let old = format!(
+            "{{\"id\": \"{id}\", \"spec_hash\": \"{}\", \"seed\": 0, \"rows\": 1, \"rows_sha256\": \"{digest}\"}}\n",
+            spec_hash(&sc)
+        );
+        fs::write(store.meta_path(&id), old).unwrap();
+        assert_eq!(store.verify(&id).unwrap(), Integrity::Verified);
 
         // A marker over a missing artifact is corrupt too.
         fs::remove_file(store.rows_path(&id)).unwrap();

@@ -38,7 +38,8 @@
 //! claiming trials once it fires and the call returns [`Cancelled`]
 //! instead of a partial (and therefore non-deterministic-looking) result
 //! vector. Because campaigns are deterministic, a cancelled campaign is
-//! resumed by re-running it and skipping the rows already emitted.
+//! resumed by running only the grid units its emitted rows do not cover
+//! (`ShardPlan::resume`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

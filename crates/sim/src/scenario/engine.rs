@@ -146,8 +146,8 @@ pub enum EngineError {
     Io(io::Error),
     /// The campaign's [`CancelToken`] fired before it completed. Any rows
     /// already streamed form a deterministic prefix of the full output —
-    /// resume by re-running and skipping them
-    /// (`CampaignRunner::skip_rows`).
+    /// resume by keeping its whole grid units and running the rest
+    /// ([`ShardPlan::resume`](super::ShardPlan::resume)).
     Cancelled,
 }
 

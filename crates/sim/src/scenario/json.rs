@@ -136,71 +136,79 @@ impl Json {
     /// the canonical on-disk spec format.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Prints on one line (`{"key": value, ...}`), no trailing newline —
+    /// the campaign service's response bodies.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value at nesting depth `indent`, or on one line when
+    /// `indent` is `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(&format_number(*n)),
             Json::Str(s) => out.push_str(&json_string(s)),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 // Scalar-only arrays stay on one line (voltage grids read
                 // naturally); nested structures get one element per line.
                 let scalar = items
                     .iter()
                     .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
-                if scalar {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        item.write(out, indent);
-                    }
-                    out.push(']');
-                } else {
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        out.push_str(&"  ".repeat(indent + 1));
-                        item.write(out, indent + 1);
-                        if i + 1 < items.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    out.push_str(&"  ".repeat(indent));
-                    out.push(']');
-                }
+                let entries = items.iter().map(|item| (None, item));
+                write_entries(out, ['[', ']'], entries, indent.filter(|_| !scalar));
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&json_string(k));
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
+                let entries = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_entries(out, ['{', '}'], entries, indent);
             }
         }
     }
+}
+
+/// Writes array items or object fields (`key` set) between `brackets`:
+/// one entry per line at depth `indent`, or all on one line when it is
+/// `None`. Empty containers print as `[]` / `{}` either way.
+fn write_entries<'a>(
+    out: &mut String,
+    brackets: [char; 2],
+    entries: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    indent: Option<usize>,
+) {
+    out.push(brackets[0]);
+    let mut empty = true;
+    for (key, value) in entries {
+        if !empty {
+            out.push(',');
+        }
+        match indent {
+            Some(depth) => {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            }
+            None if !empty => out.push(' '),
+            None => {}
+        }
+        empty = false;
+        if let Some(key) = key {
+            out.push_str(&json_string(key));
+            out.push_str(": ");
+        }
+        value.write(out, indent.map(|depth| depth + 1));
+    }
+    if let (Some(depth), false) = (indent, empty) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(brackets[1]);
 }
 
 /// Escapes a string as a JSON string literal (quotes included) — the one
@@ -222,6 +230,25 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// Serializes a `u64` losslessly: as a JSON number when `f64` can carry
+/// it exactly, as a decimal string otherwise (seeds and scrambler keys
+/// routinely use all 64 bits).
+pub fn u64_json(value: u64) -> Json {
+    if value <= (1u64 << 53) {
+        Json::Num(value as f64)
+    } else {
+        Json::Str(value.to_string())
+    }
+}
+
+/// Parses a `u64` from either encoding produced by [`u64_json`].
+pub fn json_u64(value: &Json) -> Option<u64> {
+    match value {
+        Json::Str(s) => s.parse().ok(),
+        other => other.as_u64(),
+    }
 }
 
 /// Formats a finite number the shortest way that round-trips (integers
@@ -461,6 +488,8 @@ mod tests {
         let grid = v.get("grid").unwrap();
         assert_eq!(grid.get("axis").unwrap().as_str(), Some("voltage"));
         assert_eq!(grid.get("values").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(v.compact(), doc, "compact output is the one-line layout");
+        assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`runner`] — the [`CampaignRunner`] builder every driver (CLI,
 //!   campaign service, tests) goes through: per-campaign execution
 //!   settings ([`crate::exec::ExecConfig`]),
-//!   [`Progress`] events, [`CancelToken`] cancellation, and
-//!   resume-by-skipping.
+//!   [`Progress`] events and [`CancelToken`] cancellation;
+//! * [`shard`] — [`ShardPlan`], the one partition of a campaign into
+//!   contiguous grid units, behind sharded fan-out and resume alike.
 //!
 //! The historical figure modules ([`crate::fig2`], [`crate::fig4`],
 //! [`crate::energy_table`], [`crate::tradeoff`], [`crate::ablation`]) are

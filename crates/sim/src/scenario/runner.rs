@@ -5,8 +5,8 @@
 //! rows: the [`ExecConfig`] (worker count, batching, bail-out — read from
 //! the environment once in [`CampaignRunner::new`], then overridden by
 //! [`threads`](CampaignRunner::threads), [`batch`](CampaignRunner::batch)
-//! and [`bailout`](CampaignRunner::bailout)), progress events,
-//! cancellation, and resume-by-skipping:
+//! and [`bailout`](CampaignRunner::bailout)), progress events and
+//! cancellation:
 //!
 //! ```
 //! use dream_sim::report::NullSink;
@@ -21,12 +21,13 @@
 //! assert!(!outcome.rows.is_empty());
 //! ```
 //!
-//! Determinism is untouched: the runner only wraps the sink (to count and
-//! optionally skip rows) and passes its config explicitly to the engine,
-//! so output stays bit-identical at any setting, and concurrent campaigns
-//! with different settings cannot interfere. `skip_rows` +
-//! [`crate::report::JsonlSink::append`] is the resume story — re-run the
-//! (deterministic) campaign and drop the prefix already on disk.
+//! Determinism is untouched: the runner only wraps the sink (to count
+//! rows) and passes its config explicitly to the engine, so output stays
+//! bit-identical at any setting, and concurrent campaigns with different
+//! settings cannot interfere. Resume is a cut of the spec, not of the
+//! stream: [`ShardPlan::resume`](super::ShardPlan::resume) keeps the whole
+//! grid units already on disk and derives the spec of the rest, whose rows
+//! a [`crate::report::JsonlSink::append`] sink adds after them.
 
 use std::io;
 
@@ -42,8 +43,7 @@ use super::spec::Scenario;
 pub struct Progress {
     /// Batches emitted so far (one per grid point / engine family step).
     pub batches: usize,
-    /// Rows produced so far — skipped resume rows included, so during a
-    /// resume this equals the row count of the artifact being completed.
+    /// Rows this run has produced so far.
     pub rows: usize,
     /// Total flattened trials of the campaign (`Scenario::flatten` — the
     /// engine's exact work list, fixed up front).
@@ -53,20 +53,17 @@ pub struct Progress {
 type ProgressFn = dyn Fn(Progress) + Send + Sync;
 
 /// Builder for one campaign execution: spec in, rows out, with per-run
-/// execution settings, progress events, cooperative cancellation, and
-/// resume-by-skipping.
+/// execution settings, progress events and cooperative cancellation.
 pub struct CampaignRunner {
     spec: Scenario,
     exec: ExecConfig,
     cancel: Option<CancelToken>,
     on_progress: Option<Box<ProgressFn>>,
-    skip_rows: usize,
 }
 
 impl CampaignRunner {
     /// A runner for `spec` with default settings: the environment's
-    /// [`ExecConfig::from_env`], no progress callback, not cancellable, no
-    /// skipping.
+    /// [`ExecConfig::from_env`], no progress callback, not cancellable.
     ///
     /// # Panics
     ///
@@ -77,7 +74,6 @@ impl CampaignRunner {
             exec: ExecConfig::from_env(),
             cancel: None,
             on_progress: None,
-            skip_rows: 0,
         }
     }
 
@@ -141,15 +137,6 @@ impl CampaignRunner {
         self
     }
 
-    /// Suppresses the first `rows` output rows — the resume path for an
-    /// interrupted append-mode artifact: the engine deterministically
-    /// recomputes the prefix, and the sink only sees what is missing.
-    #[must_use]
-    pub fn skip_rows(mut self, rows: usize) -> CampaignRunner {
-        self.skip_rows = rows;
-        self
-    }
-
     /// The spec this runner will execute.
     pub fn spec(&self) -> &Scenario {
         &self.spec
@@ -160,7 +147,8 @@ impl CampaignRunner {
     /// A cancelled run still flushes the sink (best-effort `finish`)
     /// before returning, so the deterministic prefix streamed up to the
     /// cancellation point is durable — that prefix is exactly what
-    /// `skip_rows` resumes from after a drain.
+    /// [`ShardPlan::resume`](super::ShardPlan::resume) resumes from after a
+    /// drain.
     ///
     /// # Errors
     ///
@@ -170,7 +158,6 @@ impl CampaignRunner {
         self.spec.validate()?;
         let mut instrumented = InstrumentedSink {
             inner: sink,
-            skip_remaining: self.skip_rows,
             progress: Progress {
                 batches: 0,
                 rows: 0,
@@ -207,17 +194,15 @@ impl std::fmt::Debug for CampaignRunner {
             .field("spec", &self.spec.name)
             .field("exec", &self.exec)
             .field("cancellable", &self.cancel.is_some())
-            .field("skip_rows", &self.skip_rows)
             .finish()
     }
 }
 
-/// Wraps the caller's sink to count rows, fire progress callbacks, and
-/// drop the resume prefix. The engine sees one `dyn Sink`; determinism is
-/// unaffected because rows are only counted or suppressed, never altered.
+/// Wraps the caller's sink to count rows and fire progress callbacks.
+/// The engine sees one `dyn Sink`; determinism is unaffected because rows
+/// are only counted, never altered.
 struct InstrumentedSink<'a> {
     inner: &'a mut dyn Sink,
-    skip_remaining: usize,
     progress: Progress,
     on_progress: Option<&'a ProgressFn>,
 }
@@ -230,11 +215,7 @@ impl Sink for InstrumentedSink<'_> {
     fn emit(&mut self, rows: &[Vec<String>]) -> io::Result<()> {
         self.progress.batches += 1;
         self.progress.rows += rows.len();
-        let skipped = self.skip_remaining.min(rows.len());
-        self.skip_remaining -= skipped;
-        if skipped < rows.len() {
-            self.inner.emit(&rows[skipped..])?;
-        }
+        self.inner.emit(rows)?;
         if let Some(callback) = self.on_progress {
             callback(self.progress);
         }
@@ -250,8 +231,8 @@ impl Sink for InstrumentedSink<'_> {
 mod tests {
     use super::*;
     use crate::report::{CsvSink, JsonlSink};
-    use crate::scenario::registry;
     use crate::scenario::spec::Grid;
+    use crate::scenario::{registry, ShardPlan};
     use dream_dsp::AppKind;
 
     fn tiny_fig4() -> Scenario {
@@ -337,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_mid_campaign_leaves_a_deterministic_prefix_and_skip_rows_resumes_it() {
+    fn cancel_mid_campaign_leaves_a_deterministic_prefix_and_shard_plan_resume_completes_it() {
         let sc = tiny_fig4();
 
         // Reference: the full artifact in one clean run.
@@ -360,14 +341,14 @@ mod tests {
         assert!(partial_rows < full.lines().count(), "must stop early");
         assert!(full.starts_with(&partial), "prefix must be deterministic");
 
-        // Resume: skip what exists; appending the remainder reproduces
-        // the clean artifact byte for byte.
-        let mut resumed_sink = JsonlSink::new(Vec::new());
-        CampaignRunner::new(sc)
-            .skip_rows(partial_rows)
-            .run(&mut resumed_sink)
-            .unwrap();
-        let resumed = String::from_utf8(resumed_sink.into_inner()).unwrap();
+        // Resume: the prefix is one whole voltage point, so it is kept and
+        // only the remaining point runs; appending its rows reproduces the
+        // clean artifact byte for byte.
+        let (kept, rest) = ShardPlan::resume(&sc, partial_rows).unwrap();
+        assert_eq!(kept, partial_rows);
+        let rest = rest.expect("one voltage point is missing");
+        assert_eq!(rest.grid.len(), 1);
+        let resumed = jsonl_of(&rest, CampaignRunner::new(rest.clone()));
         assert_eq!(format!("{partial}{resumed}"), full);
     }
 
@@ -403,17 +384,5 @@ mod tests {
             sink.finished,
             "a drained campaign must flush its streamed prefix"
         );
-    }
-
-    #[test]
-    fn skipping_everything_emits_nothing_but_still_returns_the_outcome() {
-        let sc = tiny_fig4();
-        let mut sink = JsonlSink::new(Vec::new());
-        let outcome = CampaignRunner::new(sc)
-            .skip_rows(usize::MAX)
-            .run(&mut sink)
-            .unwrap();
-        assert!(!outcome.rows.is_empty());
-        assert!(sink.into_inner().is_empty());
     }
 }

@@ -23,8 +23,10 @@
 //!
 //! The plan is pure data: each [`Shard`] holds a derived spec plus the
 //! half-open row window it produces, so a coordinator can fan shards out,
-//! cache their sub-artifacts independently, and reassemble in index order
-//! while resuming mid-shard via [`ShardPlan::locate_row`].
+//! cache their sub-artifacts independently, and reassemble in index order.
+//! [`ShardPlan::resume`] cuts the same axis for an interrupted artifact:
+//! it keeps the whole units already on disk and derives the spec of the
+//! rest, so resuming computes only the missing units.
 
 use super::spec::{Grid, Kind, Scenario, SinkSpec, SpecError};
 
@@ -69,33 +71,18 @@ impl ShardPlan {
     /// validation; every derived shard spec of a valid parent is valid.
     pub fn new(sc: &Scenario, shards: usize) -> Result<ShardPlan, SpecError> {
         sc.validate()?;
-        let requested = shards.max(1);
-        let (units, rows_per_unit) = match (sc.kind, &sc.grid) {
-            (Kind::SnrSweep, Grid::BitPosition(bits)) => {
-                (sc.apps.len(), sc.emts.len() * 2 * bits.len())
-            }
-            (Kind::SnrSweep, Grid::Voltage(v)) => (v.len(), sc.emts.len() * sc.apps.len()),
-            (Kind::SnrSweep, Grid::NoiseScale(n)) => (n.len(), sc.emts.len() * sc.apps.len()),
-            (Kind::EnergySweep, Grid::MemoryWords(w)) => (w.len(), sc.emts.len()),
-            // Tradeoff / ablation / voltage-energy artifacts are
-            // interdependent across the whole grid: serial only.
-            _ => (1, 0),
-        };
-        let k = requested.min(units).max(1);
-        if k <= 1 {
-            let rows = if rows_per_unit == 0 {
-                None
-            } else {
-                Some(units * rows_per_unit)
-            };
+        let (units, rows_per_unit) = axis(sc);
+        let total_rows = (rows_per_unit > 0).then_some(units * rows_per_unit);
+        let k = shards.max(1).min(units).max(1);
+        if k == 1 {
             return Ok(ShardPlan {
                 shards: vec![Shard {
                     index: 0,
                     spec: sc.clone(),
                     row_offset: 0,
-                    rows,
+                    rows: total_rows,
                 }],
-                total_rows: rows,
+                total_rows,
             });
         }
 
@@ -105,20 +92,9 @@ impl ShardPlan {
         let mut unit_start = 0usize;
         for index in 0..k {
             let size = base + usize::from(index < extra);
-            let range = unit_start..unit_start + size;
-            let mut spec = sc.clone();
+            let mut spec = slice(sc, unit_start..unit_start + size);
             spec.name = format!("{}.shard{}of{}", sc.name, index + 1, k);
             spec.sink = SinkSpec::default();
-            match (sc.kind, &sc.grid) {
-                (Kind::SnrSweep, Grid::BitPosition(_)) => {
-                    spec.apps = sc.apps[range.clone()].to_vec();
-                }
-                _ => {
-                    spec.grid = slice_grid(&sc.grid, range.clone());
-                    spec.point_offset = sc.point_offset + range.start;
-                }
-            }
-            debug_assert!(spec.validate().is_ok());
             shards_out.push(Shard {
                 index,
                 spec,
@@ -129,8 +105,37 @@ impl ShardPlan {
         }
         Ok(ShardPlan {
             shards: shards_out,
-            total_rows: Some(units * rows_per_unit),
+            total_rows,
         })
+    }
+
+    /// Cuts `sc` for resuming an artifact holding its first `rows_on_disk`
+    /// rows: the rows to keep (the largest unit boundary at or below
+    /// `rows_on_disk`; 0 for single-unit families) and the spec of the
+    /// remaining units (`None` when nothing is left). The kept rows plus
+    /// the remaining spec's rows are the serial artifact byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`SpecError`] when `sc` fails validation.
+    pub fn resume(
+        sc: &Scenario,
+        rows_on_disk: usize,
+    ) -> Result<(usize, Option<Scenario>), SpecError> {
+        sc.validate()?;
+        let (units, rows_per_unit) = axis(sc);
+        let kept_units = rows_on_disk
+            .checked_div(rows_per_unit)
+            .unwrap_or(0)
+            .min(units);
+        // Nothing kept resumes with the parent spec itself: slicing a
+        // single-unit family's grid would drop its other points.
+        let rest = match kept_units {
+            0 => Some(sc.clone()),
+            k if k < units => Some(slice(sc, k..units)),
+            _ => None,
+        };
+        Ok((kept_units * rows_per_unit, rest))
     }
 
     /// The shards in reassembly order.
@@ -158,37 +163,48 @@ impl ShardPlan {
     pub fn total_rows(&self) -> Option<usize> {
         self.total_rows
     }
+}
 
-    /// Locates the shard containing serial row index `row`, returning
-    /// `(shard index, row offset local to that shard)`.
-    ///
-    /// Used for skip-rows resume landing mid-shard: a partial parent
-    /// artifact of `row` rows continues inside shard `i` at local offset
-    /// `local`. Returns `None` when `row` is at or past the end of a
-    /// plan whose size is known (nothing left to run).
-    pub fn locate_row(&self, row: usize) -> Option<(usize, usize)> {
-        match self.total_rows {
-            None => Some((0, row)),
-            Some(total) if row >= total => None,
-            Some(_) => {
-                let shard = self
-                    .shards
-                    .iter()
-                    .rfind(|s| s.row_offset <= row)
-                    .expect("first shard starts at row 0");
-                Some((shard.index, row - shard.row_offset))
-            }
+/// The shard axis of `sc`'s family: how many independent units it
+/// splits into, and how many rows each unit emits. Families whose rows
+/// are interdependent across the whole grid are one unit of 0 (unknown)
+/// rows.
+fn axis(sc: &Scenario) -> (usize, usize) {
+    match (sc.kind, &sc.grid) {
+        (Kind::SnrSweep, Grid::BitPosition(bits)) => {
+            (sc.apps.len(), sc.emts.len() * 2 * bits.len())
         }
+        (Kind::SnrSweep, Grid::Voltage(v)) => (v.len(), sc.emts.len() * sc.apps.len()),
+        (Kind::SnrSweep, Grid::NoiseScale(n)) => (n.len(), sc.emts.len() * sc.apps.len()),
+        (Kind::EnergySweep, Grid::MemoryWords(w)) => (w.len(), sc.emts.len()),
+        // Tradeoff / ablation / voltage-energy artifacts are
+        // interdependent across the whole grid: serial only.
+        _ => (1, 0),
     }
 }
 
-fn slice_grid(grid: &Grid, range: std::ops::Range<usize>) -> Grid {
-    match grid {
-        Grid::Voltage(v) => Grid::Voltage(v[range].to_vec()),
-        Grid::BitPosition(b) => Grid::BitPosition(b[range].to_vec()),
-        Grid::NoiseScale(n) => Grid::NoiseScale(n[range].to_vec()),
-        Grid::MemoryWords(w) => Grid::MemoryWords(w[range].to_vec()),
+/// The spec of units `range` of `sc` along its [`axis`]: the apps slice
+/// for injection sweeps, the grid slice with its absolute
+/// [`Scenario::point_offset`] otherwise. Every slice of a valid spec is
+/// valid.
+fn slice(sc: &Scenario, range: std::ops::Range<usize>) -> Scenario {
+    let mut spec = sc.clone();
+    match (sc.kind, &sc.grid) {
+        (Kind::SnrSweep, Grid::BitPosition(_)) => {
+            spec.apps = sc.apps[range].to_vec();
+        }
+        _ => {
+            spec.point_offset = sc.point_offset + range.start;
+            spec.grid = match &sc.grid {
+                Grid::Voltage(v) => Grid::Voltage(v[range].to_vec()),
+                Grid::BitPosition(b) => Grid::BitPosition(b[range].to_vec()),
+                Grid::NoiseScale(n) => Grid::NoiseScale(n[range].to_vec()),
+                Grid::MemoryWords(w) => Grid::MemoryWords(w[range].to_vec()),
+            };
+        }
     }
+    debug_assert!(spec.validate().is_ok());
+    spec
 }
 
 #[cfg(test)]
@@ -286,24 +302,6 @@ mod tests {
             assert!(plan.is_trivial(), "{preset} must stay serial");
             assert_eq!(plan.shards()[0].spec, sc);
         }
-    }
-
-    #[test]
-    fn locate_row_walks_the_shard_windows() {
-        let sc = fig4();
-        let plan = ShardPlan::new(&sc, 4).unwrap();
-        let rows_per_point = sc.emts.len() * sc.apps.len();
-        let total = plan.total_rows().unwrap();
-        // Row 0 is the first shard's first row.
-        assert_eq!(plan.locate_row(0), Some((0, 0)));
-        // A row in the middle of shard 1 resolves with a local offset.
-        let s1 = &plan.shards()[1];
-        let mid = s1.row_offset + rows_per_point / 2;
-        assert_eq!(plan.locate_row(mid), Some((1, rows_per_point / 2)));
-        // The boundary row belongs to the next shard.
-        assert_eq!(plan.locate_row(s1.row_offset), Some((1, 0)));
-        // Past the end: nothing to resume.
-        assert_eq!(plan.locate_row(total), None);
     }
 
     #[test]

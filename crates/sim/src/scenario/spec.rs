@@ -6,7 +6,7 @@ use dream_core::EmtKind;
 use dream_dsp::AppKind;
 use dream_mem::{BerModel, FaultModel, StuckAt};
 
-use super::json::Json;
+use super::json::{json_u64, u64_json, Json};
 
 /// What a scenario measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1246,25 +1246,6 @@ impl Scenario {
         };
         scenario.validate()?;
         Ok(scenario)
-    }
-}
-
-/// Serializes a `u64` losslessly: as a JSON number when `f64` can carry
-/// it exactly, as a decimal string otherwise (seeds and scrambler keys
-/// routinely use all 64 bits).
-fn u64_json(value: u64) -> Json {
-    if value <= (1u64 << 53) {
-        Json::Num(value as f64)
-    } else {
-        Json::Str(value.to_string())
-    }
-}
-
-/// Parses a `u64` from either encoding produced by [`u64_json`].
-fn json_u64(value: &Json) -> Option<u64> {
-    match value {
-        Json::Str(s) => s.parse().ok(),
-        other => other.as_u64(),
     }
 }
 

@@ -9,8 +9,9 @@
 //!    single trial (the `/stats` trial counter stays put).
 //! 2. **Resume** — a campaign interrupted mid-artifact (rows on disk, no
 //!    completion marker, even a row cut mid-line) completes
-//!    deterministically on the next POST: the streamed body is
-//!    byte-identical to a never-interrupted run.
+//!    deterministically on the next POST, executing only the trials of
+//!    its missing grid units: the streamed body is byte-identical to a
+//!    never-interrupted run.
 
 use std::path::PathBuf;
 
@@ -18,15 +19,16 @@ use dream_suite::serve::http::client_request;
 use dream_suite::serve::{campaign_id, ServeConfig, Server, Store};
 use dream_suite::sim::report::JsonlSink;
 use dream_suite::sim::scenario::json::Json;
-use dream_suite::sim::scenario::{registry, Scenario};
+use dream_suite::sim::scenario::{registry, Scenario, ShardPlan};
 use dream_suite::CampaignRunner;
 
-/// A seconds-scale campaign: fig2 smoke further shrunk.
-fn smoke_spec() -> Scenario {
+/// A seconds-scale campaign: fig2 smoke further shrunk to `apps` apps
+/// (the grid units a resume keeps whole or runs).
+fn smoke_spec(apps: usize) -> Scenario {
     let mut sc = registry::get("fig2", true).expect("preset exists");
     sc.records = 1;
     sc.trials = 1;
-    sc.apps.truncate(1);
+    sc.apps.truncate(apps);
     sc
 }
 
@@ -76,7 +78,7 @@ fn json_number(body: &str, key: &str) -> u64 {
 
 #[test]
 fn repeat_posts_replay_from_the_store_without_rerunning_trials() {
-    let sc = smoke_spec();
+    let sc = smoke_spec(1);
     let want = reference_jsonl(&sc);
     let addr = boot(temp_store("replay"));
     let payload = sc.to_json();
@@ -153,22 +155,27 @@ fn repeat_posts_replay_from_the_store_without_rerunning_trials() {
 
 #[test]
 fn interrupted_campaigns_resume_to_a_byte_identical_artifact() {
-    let sc = smoke_spec();
+    let sc = smoke_spec(2);
     let want = reference_jsonl(&sc);
     let id = campaign_id(&sc);
 
     // Simulate a campaign killed mid-flight: the spec is on disk, the
-    // artifact holds a prefix of the rows, the final line is cut mid-write,
-    // and there is no completion marker.
+    // artifact holds the first app's rows and two rows of the second, the
+    // final line is cut mid-write, and there is no completion marker.
     let store_dir = temp_store("resume");
     let store = Store::open(&store_dir).expect("store opens");
     store.begin(&id, &sc).expect("begin");
     let lines: Vec<&str> = want.lines().collect();
+    let rows_per_app = lines.len() / 2;
     assert!(
-        lines.len() >= 4,
+        rows_per_app >= 4,
         "need enough rows to interrupt meaningfully"
     );
-    let keep = lines.len() / 2;
+    let keep = rows_per_app + 2;
+    let (kept, rest) = ShardPlan::resume(&sc, keep).expect("spec resumes");
+    assert_eq!(kept, rows_per_app, "resume keeps the first app whole");
+    let rest_trials = rest.expect("the second app is missing").flatten().len();
+    assert!(rest_trials < sc.flatten().len());
     let mut partial: String = lines[..keep]
         .iter()
         .map(|line| format!("{line}\n"))
@@ -177,9 +184,9 @@ fn interrupted_campaigns_resume_to_a_byte_identical_artifact() {
     std::fs::write(store.rows_path(&id), &partial).expect("seed partial artifact");
     assert!(!store.is_complete(&id));
 
-    // A fresh server (post-crash restart) resumes it on POST: the ragged
-    // line is truncated, the surviving prefix is skipped instead of
-    // re-emitted, and the remainder is appended deterministically.
+    // A fresh server (post-crash restart) resumes it on POST: the artifact
+    // is cut back to the first app's rows (dropping the ragged line), and
+    // only the second app runs and is appended.
     let addr = boot(store_dir);
     let response =
         client_request(&addr, "POST", "/campaigns", sc.to_json().as_bytes()).expect("POST");
@@ -197,11 +204,16 @@ fn interrupted_campaigns_resume_to_a_byte_identical_artifact() {
         "the on-disk artifact must also be byte-identical"
     );
 
-    // And the stats show the resume only paid for one (partial) run's
-    // worth of bookkeeping — one campaign execution, no cache hit.
+    // And the stats show the resume executed exactly the missing app's
+    // trials — one campaign execution, no cache hit.
     let stats = stats_json(&addr);
     assert_eq!(json_number(&stats, "campaigns_run"), 1);
     assert_eq!(json_number(&stats, "cache_hits"), 0);
+    assert_eq!(
+        json_number(&stats, "trials_executed"),
+        rest_trials as u64,
+        "a resume runs only the units missing from the artifact"
+    );
 
     // A restarted server preloads the completed artifact: replay works
     // without the original process.

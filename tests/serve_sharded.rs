@@ -192,7 +192,7 @@ fn resume_landing_mid_shard_appends_only_the_missing_rows() {
 
     let w1 = boot_worker(temp_store("resume_w1"));
     let w2 = boot_worker(temp_store("resume_w2"));
-    let addr = boot_coordinator(store_dir, 2, vec![w1, w2]);
+    let addr = boot_coordinator(store_dir, 2, vec![w1.clone(), w2.clone()]);
     let response =
         client_request(&addr, "POST", "/campaigns", sc.to_json().as_bytes()).expect("POST");
     assert_eq!(response.status, 200);
@@ -208,6 +208,12 @@ fn resume_landing_mid_shard_appends_only_the_missing_rows() {
         "the on-disk parent artifact must also be byte-identical"
     );
     assert!(store.is_complete(&id));
+
+    // The parent was cut back to the shard boundary: shard 0 was never
+    // fetched, and the workers executed exactly shard 1's trials.
+    let worker_trials = json_number(&get_json(&w1, "/stats"), "trials_executed")
+        + json_number(&get_json(&w2, "/stats"), "trials_executed");
+    assert_eq!(worker_trials, plan.shards()[1].spec.flatten().len() as u64);
 }
 
 #[test]

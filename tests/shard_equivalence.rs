@@ -8,7 +8,11 @@
 //! This is the load-bearing invariant behind `dream serve` fan-out: a
 //! coordinator that concatenates shard sub-artifacts in plan order serves
 //! the same bytes (and the same content-addressed store id) as an
-//! unsharded run.
+//! unsharded run. Resume cuts the same partition, so the suite also pins
+//! that an artifact interrupted at any row completes byte-identically
+//! from [`ShardPlan::resume`]'s remaining spec.
+
+use std::collections::HashMap;
 
 use dream_sim::report::JsonlSink;
 use dream_sim::scenario::{registry, CampaignRunner, Scenario, ShardPlan};
@@ -53,6 +57,61 @@ fn assert_shard_invariant(sc: &Scenario) {
                 sc.name
             );
         }
+    }
+    assert_resume_invariant(sc, &reference);
+}
+
+/// Resume is a cut of the same partition: for every row count `r` an
+/// interrupted artifact may hold, [`ShardPlan::resume`] keeps a unit
+/// boundary at or below `r`, the kept reference rows followed by the
+/// remaining spec's rows are the reference byte for byte, and the
+/// remaining spec executes exactly the trials of the units not kept.
+fn assert_resume_invariant(sc: &Scenario, reference: &str) {
+    let rows: Vec<&str> = reference.split_inclusive('\n').collect();
+    // One shard per unit: its row offsets (plus the total) are the unit
+    // boundaries, and its specs carry each unit's trials.
+    let units = ShardPlan::new(sc, usize::MAX).expect("valid spec shards");
+    let boundaries: Vec<usize> = units
+        .shards()
+        .iter()
+        .map(|shard| shard.row_offset)
+        .chain(units.total_rows())
+        .collect();
+    let mut resumed_at: HashMap<usize, (String, usize)> = HashMap::new();
+    for r in 0..=rows.len() {
+        let (kept, rest) = ShardPlan::resume(sc, r).expect("valid spec resumes");
+        assert!(kept <= r, "{}: kept {kept} of {r} rows", sc.name);
+        assert!(
+            boundaries.contains(&kept),
+            "{}: kept {kept} rows, not a unit boundary of {boundaries:?}",
+            sc.name
+        );
+        let (tail, trials) = resumed_at
+            .entry(kept)
+            .or_insert_with(|| {
+                rest.map_or((String::new(), 0), |rest| {
+                    (jsonl(&rest, 1), rest.flatten().len())
+                })
+            })
+            .clone();
+        assert_eq!(
+            format!("{}{tail}", rows[..kept].concat()),
+            reference,
+            "{}: resuming {r} rows diverged",
+            sc.name
+        );
+        let kept_trials: usize = units
+            .shards()
+            .iter()
+            .filter(|shard| shard.rows.is_some_and(|n| shard.row_offset + n <= kept))
+            .map(|shard| shard.spec.flatten().len())
+            .sum();
+        assert_eq!(
+            trials,
+            sc.flatten().len() - kept_trials,
+            "{}: resuming {r} rows must run exactly the missing units",
+            sc.name
+        );
     }
 }
 
