@@ -83,6 +83,8 @@ const SERVE_FLAGS: &[&str] = &[
     "retry-after",
     "shards",
     "worker",
+    // Undocumented test hook: `ServeConfig::hold`, never released.
+    "hold-first-batch",
 ];
 const DRAIN_FLAGS: &[&str] = &["addr", "exit"];
 const COMPARE_FLAGS: &[&str] = &["store"];
@@ -324,6 +326,9 @@ fn serve(args: &Args) {
         worker_addrs,
         worker: args.switch("worker"),
         worker_exe: std::env::current_exe().ok(),
+        hold: args
+            .switch("hold-first-batch")
+            .then(dream_serve::TestHold::new),
     };
     let server =
         dream_serve::Server::bind(config).unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));

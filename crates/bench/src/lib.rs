@@ -15,7 +15,14 @@ use std::path::PathBuf;
 
 /// Flags that never take a value. The token after one is never consumed
 /// as its value, so `dream run --smoke fig2` keeps `fig2` as the target.
-const SWITCHES: &[&str] = &["smoke", "progress", "worker", "exit", "list"];
+const SWITCHES: &[&str] = &[
+    "smoke",
+    "progress",
+    "worker",
+    "exit",
+    "list",
+    "hold-first-batch",
+];
 
 /// Minimal flag parser: `--key value` pairs, bare `--switch`es, and
 /// positional arguments (subcommands and targets).

@@ -39,8 +39,9 @@ impl Drop for ServeProc {
 }
 
 /// Spawns `dream serve` on an ephemeral port and parses the bound
-/// address from its startup line.
-fn spawn_serve(store_dir: &Path) -> ServeProc {
+/// address from its startup line. With `hold`, every campaign pauses
+/// after its first emitted batch for good (`--hold-first-batch`).
+fn spawn_serve(store_dir: &Path, hold: bool) -> ServeProc {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dream"))
         .args([
             "serve",
@@ -53,6 +54,7 @@ fn spawn_serve(store_dir: &Path) -> ServeProc {
             "--threads",
             "2",
         ])
+        .args(hold.then_some("--hold-first-batch"))
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -78,8 +80,8 @@ fn spawn_serve(store_dir: &Path) -> ServeProc {
 }
 
 /// A campaign with staged emission (fig4 batches once per voltage grid
-/// point over a multi-second run), so rows are on disk long before the
-/// campaign completes — the window the SIGKILL below aims for.
+/// point), so rows reach the disk before the campaign completes — the
+/// window the SIGKILL below aims for, held open by `--hold-first-batch`.
 fn long_spec(seed: u64) -> Scenario {
     let mut sc = registry::get("fig4", true).expect("preset exists");
     sc.records = 4;
@@ -125,9 +127,10 @@ fn kill_nine_mid_campaign_then_restart_resumes_byte_identically() {
     let store = Store::open(&store_dir).expect("store opens");
     let rows_path = store.rows_path(&id);
 
-    // Boot, submit, and SIGKILL as soon as any rows hit the disk — an
-    // arbitrary point mid-campaign, quite possibly mid-write.
-    let mut serve = spawn_serve(&store_dir);
+    // Boot, submit, and SIGKILL as soon as any rows hit the disk — quite
+    // possibly mid-write. The child holds the campaign after its first
+    // batch, so the kill always lands mid-campaign.
+    let mut serve = spawn_serve(&store_dir, true);
     let _conn = post_detached(&serve.addr, &sc.to_json());
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -156,7 +159,7 @@ fn kill_nine_mid_campaign_then_restart_resumes_byte_identically() {
     // tail, skips the surviving prefix, and appends the remainder — the
     // response and the on-disk artifact are byte-identical to a run that
     // was never killed.
-    let serve2 = spawn_serve(&store_dir);
+    let serve2 = spawn_serve(&store_dir, false);
     let response = client_request(&serve2.addr, "POST", "/campaigns", sc.to_json().as_bytes())
         .expect("resume POST");
     assert_eq!(response.status, 200);
@@ -179,7 +182,7 @@ fn corrupted_artifacts_are_quarantined_on_restart_and_rerun_not_served() {
 
     // Complete the artifact legitimately.
     {
-        let serve = spawn_serve(&store_dir);
+        let serve = spawn_serve(&store_dir, false);
         let response = client_request(&serve.addr, "POST", "/campaigns", sc.to_json().as_bytes())
             .expect("POST");
         assert_eq!(response.status, 200);
@@ -197,7 +200,7 @@ fn corrupted_artifacts_are_quarantined_on_restart_and_rerun_not_served() {
     // A restarted server refuses to serve the bad bytes: the checksum
     // catches the corruption at preload, the artifact moves to
     // quarantine, and the repeat POST re-runs to the correct bytes.
-    let serve2 = spawn_serve(&store_dir);
+    let serve2 = spawn_serve(&store_dir, false);
     let quarantined = store_dir.join(QUARANTINE_DIR).join(&id);
     assert!(
         quarantined.join("quarantine_reason.txt").exists(),

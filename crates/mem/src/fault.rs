@@ -245,23 +245,32 @@ impl FaultMap {
         }));
     }
 
-    /// Iterates over `(word, bit, polarity)` for every stuck cell.
+    /// Iterates over `(word, bit, polarity)` for every stuck cell, in word
+    /// order and ascending bit order within a word.
+    ///
+    /// Maps are sparse, so the walk skips clean words with one test each
+    /// and visits only the set bits of a stuck word: its cost follows the
+    /// fault count, not `words × width`.
     pub fn iter_faults(&self) -> impl Iterator<Item = (usize, u32, StuckAt)> + '_ {
         self.stuck_mask
             .iter()
+            .zip(&self.stuck_val)
             .enumerate()
-            .flat_map(move |(w, &mask)| {
-                (0..self.width).filter_map(move |b| {
-                    if mask & (1 << b) != 0 {
-                        let pol = if self.stuck_val[w] & (1 << b) != 0 {
-                            StuckAt::One
-                        } else {
-                            StuckAt::Zero
-                        };
-                        Some((w, b, pol))
-                    } else {
-                        None
+            .filter(|(_, (&mask, _))| mask != 0)
+            .flat_map(|(w, (&mask, &val))| {
+                let mut rest = mask;
+                std::iter::from_fn(move || {
+                    if rest == 0 {
+                        return None;
                     }
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    let pol = if val >> b & 1 == 1 {
+                        StuckAt::One
+                    } else {
+                        StuckAt::Zero
+                    };
+                    Some((w, b, pol))
                 })
             })
     }
@@ -401,6 +410,53 @@ mod tests {
             assert!(map.stuck_mask(w) & (1 << b) != 0);
             assert_eq!((map.stuck_values(w) >> b) & 1, pol.bit());
         }
+    }
+
+    /// The word × bit scan `iter_faults` replaced: every bit position of
+    /// every word, in order.
+    fn naive_faults(map: &FaultMap) -> Vec<(usize, u32, StuckAt)> {
+        let mut out = Vec::new();
+        for w in 0..map.words() {
+            for b in 0..map.width() {
+                if map.stuck_mask(w) >> b & 1 == 1 {
+                    let pol = if map.stuck_values(w) >> b & 1 == 1 {
+                        StuckAt::One
+                    } else {
+                        StuckAt::Zero
+                    };
+                    out.push((w, b, pol));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn iter_faults_matches_a_naive_word_by_bit_scan() {
+        for width in [1, 16, 22, 32] {
+            for (seed, ber) in [(1, 0.0), (2, 1e-3), (3, 5e-2), (4, 0.5), (5, 1.0)] {
+                let mut map = FaultMap::generate(300, width, ber, seed);
+                // The top bit (bit 31 at width 32) and fully stuck words
+                // of both polarities.
+                map.inject(7, width - 1, StuckAt::One);
+                map.inject(299, width - 1, StuckAt::Zero);
+                for b in 0..width {
+                    map.inject(11, b, StuckAt::One);
+                    map.inject(12, b, StuckAt::Zero);
+                    let pol = if b % 2 == 0 {
+                        StuckAt::One
+                    } else {
+                        StuckAt::Zero
+                    };
+                    map.inject(0, b, pol);
+                }
+                let got: Vec<_> = map.iter_faults().collect();
+                assert_eq!(got, naive_faults(&map), "width {width}, ber {ber}");
+                assert_eq!(got.len(), map.fault_count(), "width {width}, ber {ber}");
+            }
+        }
+        let empty = FaultMap::empty(64, 32);
+        assert_eq!(empty.iter_faults().count(), 0);
     }
 
     #[test]

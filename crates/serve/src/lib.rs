@@ -47,5 +47,5 @@ pub mod store;
 
 pub use chaos::{ChaosProxy, Fault};
 pub use client::{fetch_campaign, fetch_rows, FetchOutcome, RetryPolicy};
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, TestHold};
 pub use store::{campaign_id, canonical_spec_json, spec_hash, Integrity, Store};

@@ -149,6 +149,50 @@ pub struct ServeConfig {
     /// Binary to spawn local shard workers from (the CLI passes its own
     /// executable). `None` disables local spawning.
     pub worker_exe: Option<PathBuf>,
+    /// Test hook: while the latch is closed, a directly executed campaign
+    /// pauses after its first emitted batch (see [`TestHold`]). `None`
+    /// (the default) never pauses.
+    #[doc(hidden)]
+    pub hold: Option<TestHold>,
+}
+
+/// A test-only latch that keeps campaigns deterministically in flight.
+///
+/// While closed, every campaign a worker executes directly pauses after
+/// its first emitted batch — rows on disk, status `running`, the worker
+/// occupied — until the latch is [released](TestHold::release) or the
+/// campaign's cancel token fires (a drain). Service tests use it to
+/// observe a running campaign without guessing how long one takes.
+#[doc(hidden)]
+#[derive(Clone, Debug, Default)]
+pub struct TestHold(Arc<(Mutex<bool>, Condvar)>);
+
+impl TestHold {
+    /// A closed latch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens the latch for good: held campaigns resume, later ones never
+    /// pause.
+    pub fn release(&self) {
+        let (open, cv) = &*self.0;
+        *open.lock().expect("hold lock") = true;
+        cv.notify_all();
+    }
+
+    /// Blocks until the latch opens or `token` fires. Cancel tokens carry
+    /// no wake-up, so the wait re-checks the token every few milliseconds.
+    fn wait(&self, token: &CancelToken) {
+        let (open, cv) = &*self.0;
+        let mut guard = open.lock().expect("hold lock");
+        while !*guard && !token.is_cancelled() {
+            guard = cv
+                .wait_timeout(guard, Duration::from_millis(5))
+                .expect("hold lock")
+                .0;
+        }
+    }
 }
 
 impl Default for ServeConfig {
@@ -167,6 +211,7 @@ impl Default for ServeConfig {
             worker_addrs: Vec::new(),
             worker: false,
             worker_exe: None,
+            hold: None,
         }
     }
 }
@@ -332,6 +377,8 @@ struct State {
     /// Locally spawned worker processes, reaped when [`Server::run`]
     /// exits after a shutdown.
     children: Mutex<Vec<Child>>,
+    /// [`ServeConfig::hold`].
+    hold: Option<TestHold>,
 }
 
 impl State {
@@ -490,6 +537,7 @@ impl Server {
             remote,
             shard_counters: ShardCounters::default(),
             children: Mutex::new(children),
+            hold: config.hold,
         });
 
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -694,10 +742,16 @@ fn execute_campaign(state: &Arc<State>, job: &Job, token: &CancelToken) -> Resul
             .fetch_add(rest.flatten().len() as u64, Ordering::Relaxed);
         let mut sink = JsonlSink::append(&state.store.rows_path(&job.id))?;
         let notifier = Arc::clone(state);
+        let held = token.clone();
         let outcome = CampaignRunner::new(rest)
             .threads(state.threads)
             .cancel_token(token.clone())
-            .on_progress(move |_| notifier.notify())
+            .on_progress(move |p| {
+                notifier.notify();
+                if let (Some(hold), 1) = (&notifier.hold, p.batches) {
+                    hold.wait(&held);
+                }
+            })
             .run(&mut sink);
         state.batch_telemetry.absorb(telemetry::take());
         appended = outcome?.rows.len();

@@ -4,20 +4,32 @@
 //! independent `(point, run)` trials whose outputs are averaged into curve
 //! points. The trials are embarrassingly parallel — each one derives its
 //! fault map from [`crate::campaign::fault_seed`] and touches nothing but
-//! its own scratch memory — so this module schedules a flattened trial
-//! list across `std::thread::scope` workers and merges the results **in
-//! trial order**, making the output bit-identical regardless of how many
+//! its own scratch memory — so this module schedules a flattened work
+//! list across `std::thread::scope` workers and delivers the results **in
+//! item order**, making the output bit-identical regardless of how many
 //! workers ran it.
+//!
+//! # One streaming loop
+//!
+//! [`stream_trials`] is the only scheduling loop. Workers claim items from
+//! one atomic cursor; each result reaches the caller's thread through a
+//! callback as soon as that item and every earlier item are done. A
+//! campaign can therefore put a whole sweep into one work list — no
+//! barrier between grid points — and still emit each point's rows the
+//! moment its last item lands. [`run_trials`] and
+//! [`run_trials_cancellable`] are thin collectors over the same loop.
 //!
 //! # Determinism contract
 //!
-//! [`run_trials`] guarantees `result[i]` came from `trials[i]` for every
-//! `i`, whatever the thread count. Callers keep that guarantee end to end
-//! by (a) deriving all randomness from the trial descriptor (never from a
-//! worker-local RNG), and (b) fully re-arming any reused scratch state at
-//! the start of each trial (see `ProtectedMemory::reset_with_fault_map`).
-//! Aggregations stay bit-identical because floating-point reduction
-//! happens *after* the merge, in trial order.
+//! [`stream_trials`] hands over result `i` from `items[i]`, in order of
+//! `i`, and [`run_trials`] guarantees `result[i]` came from `trials[i]`
+//! for every `i`, whatever the thread count. Callers keep that guarantee
+//! end to end by (a) deriving all randomness from the trial descriptor
+//! (never from a worker-local RNG), and (b) fully re-arming any reused
+//! scratch state at the start of each trial (see
+//! `ProtectedMemory::reset_with_fault_map`). Aggregations stay
+//! bit-identical because floating-point reduction happens *after* the
+//! in-order delivery, in trial order.
 //!
 //! # Execution settings
 //!
@@ -27,23 +39,25 @@
 //! value: [`ExecConfig::from_env`] reads `DREAM_THREADS`, `DREAM_BATCH`
 //! and `DREAM_BATCH_BAILOUT` once per campaign (`CampaignRunner::new`),
 //! the CLI flags and `CampaignRunner` builders override its fields, and
-//! the engine hands `threads` to every [`run_trials`] call. Nothing is
+//! the engine hands `threads` to every executor call. Nothing is
 //! process-global or thread-local, so concurrent campaigns with different
 //! settings cannot interfere. A thread count of 1 reproduces the
 //! historical serial path exactly, worker scratch included.
 //!
 //! # Cancellation
 //!
-//! [`run_trials_cancellable`] accepts a [`CancelToken`]; workers stop
-//! claiming trials once it fires and the call returns [`Cancelled`]
-//! instead of a partial (and therefore non-deterministic-looking) result
-//! vector. Because campaigns are deterministic, a cancelled campaign is
-//! resumed by running only the grid units its emitted rows do not cover
+//! [`stream_trials`] and [`run_trials_cancellable`] accept a
+//! [`CancelToken`]; workers stop claiming items once it fires, no further
+//! result is delivered, and the call returns [`Cancelled`] instead of a
+//! partial (and therefore non-deterministic-looking) result vector. What
+//! a streaming caller already received is an in-order prefix. Because
+//! campaigns are deterministic, a cancelled campaign is resumed by
+//! running only the grid units its emitted rows do not cover
 //! (`ShardPlan::resume`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Environment variable selecting the worker count (`1` = serial).
 pub const THREADS_ENV: &str = "DREAM_THREADS";
@@ -215,17 +229,12 @@ fn env_threads() -> usize {
 }
 
 /// Runs every trial descriptor through `run` on up to `threads` workers,
-/// returning the results **in trial order**.
+/// returning the results **in trial order** — a collector over
+/// [`stream_trials`].
 ///
 /// `scratch` builds one worker-local arena (reused app instances,
 /// protected memories, fault-map buffers) per worker thread; `run`
-/// executes one trial against that arena. Workers claim trials from a
-/// shared atomic cursor, so the schedule load-balances irregular trial
-/// costs, while the order-restoring merge keeps the output independent of
-/// the schedule.
-///
-/// With `threads` at most 1 (or at most one trial) everything runs inline on the caller's thread with a single arena — the exact
-/// historical serial path.
+/// executes one trial against that arena.
 ///
 /// # Panics
 ///
@@ -267,59 +276,141 @@ where
     T: Sync,
     R: Send,
 {
+    let mut out = Vec::with_capacity(trials.len());
+    stream_trials(
+        threads,
+        trials,
+        scratch,
+        run,
+        |_, r| {
+            out.push(r);
+            Ok::<(), Cancelled>(())
+        },
+        cancel,
+    )?;
+    Ok(out)
+}
+
+/// The executor's one scheduling loop: runs every item through `run` on
+/// up to `threads` workers and hands each result to `emit` on the
+/// caller's thread **in item order**, as soon as that item and every
+/// earlier one are done.
+///
+/// Workers claim items from one shared atomic cursor, so the schedule
+/// load-balances irregular item costs; a slot buffer on the caller's
+/// thread restores item order, so `emit` sees the same sequence whatever
+/// the schedule. `scratch` builds one worker-local arena per worker.
+///
+/// With `threads` at most 1 (or at most one item) everything runs inline
+/// on the caller's thread with a single arena — the exact serial path.
+///
+/// # Errors
+///
+/// An error from `emit` stops further claims (and further `emit` calls)
+/// and is returned once the in-flight items finish. If `cancel` fires
+/// before every item was emitted, workers stop claiming, no further item
+/// is emitted, and the call returns [`Cancelled`] converted into `E`.
+///
+/// # Panics
+///
+/// Propagates a panic from any item; the other workers stop claiming.
+pub fn stream_trials<T, C, R, E>(
+    threads: usize,
+    items: &[T],
+    scratch: impl Fn() -> C + Sync,
+    run: impl Fn(&mut C, &T, usize) -> R + Sync,
+    mut emit: impl FnMut(usize, R) -> Result<(), E>,
+    cancel: Option<&CancelToken>,
+) -> Result<(), E>
+where
+    T: Sync,
+    R: Send,
+    E: From<Cancelled>,
+{
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let workers = threads.min(trials.len().max(1));
+    let workers = threads.min(items.len().max(1));
     if workers <= 1 {
         let mut arena = scratch();
-        let mut out = Vec::with_capacity(trials.len());
-        for (i, t) in trials.iter().enumerate() {
+        for (i, t) in items.iter().enumerate() {
             if cancelled() {
-                return Err(Cancelled);
+                return Err(Cancelled.into());
             }
-            out.push(run(&mut arena, t, i));
+            emit(i, run(&mut arena, t, i))?;
         }
-        return Ok(out);
+        return Ok(());
     }
     let cursor = AtomicUsize::new(0);
-    let partials: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+    // Raised by an `emit` error or a panic: workers stop claiming.
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|| {
+                let tx = tx.clone();
+                let (cursor, stop, scratch, run) = (&cursor, &stop, &scratch, &run);
+                s.spawn(move || {
+                    let _guard = StopOnPanic(stop);
                     let mut arena = scratch();
-                    let mut out = Vec::new();
-                    loop {
-                        if cancelled() {
-                            break;
-                        }
+                    while !cancelled() && !stop.load(Ordering::Relaxed) {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= trials.len() {
+                        if i >= items.len() {
                             break;
                         }
-                        out.push((i, run(&mut arena, &trials[i], i)));
+                        // The receiver only hangs up after an error; the
+                        // result is unwanted then.
+                        let _ = tx.send((i, run(&mut arena, &items[i], i)));
                     }
-                    out
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-    if cancelled() {
-        return Err(Cancelled);
+        drop(tx);
+        // A panicking `emit` stops the workers too.
+        let _guard = StopOnPanic(&stop);
+        let result = (|| {
+            let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+            slots.resize_with(items.len(), || None);
+            let mut next = 0;
+            // Ends when every worker has hung up: all items ran, or the
+            // workers stopped claiming (cancellation or a panic).
+            for (i, r) in rx.iter() {
+                debug_assert!(slots[i].is_none(), "item {i} ran twice");
+                slots[i] = Some(r);
+                while let Some(r) = slots.get_mut(next).and_then(Option::take) {
+                    if cancelled() {
+                        return Err(Cancelled.into());
+                    }
+                    emit(next, r)?;
+                    next += 1;
+                }
+            }
+            if next < items.len() {
+                // Only reachable by cancellation or a panic; the join
+                // below re-raises a panic.
+                return Err(Cancelled.into());
+            }
+            Ok(())
+        })();
+        if result.is_err() {
+            stop.store(true, Ordering::Relaxed);
+        }
+        for h in handles {
+            h.join().expect("campaign worker panicked");
+        }
+        result
+    })
+}
+
+/// Raises the executor's stop flag when its thread unwinds, so the
+/// workers stop claiming items instead of running the rest of a doomed
+/// list.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
     }
-    // Order-restoring merge: slot every result back at its trial index.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(trials.len());
-    slots.resize_with(trials.len(), || None);
-    for (i, r) in partials.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "trial {i} ran twice");
-        slots[i] = Some(r);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|r| r.expect("every trial ran exactly once"))
-        .collect())
 }
 
 #[cfg(test)]
@@ -404,6 +495,163 @@ mod tests {
         );
         assert_eq!(err, Err(Cancelled));
         assert_eq!(ran.load(Ordering::SeqCst), 5, "serial path stops at once");
+    }
+
+    #[test]
+    fn results_stream_in_order_when_a_later_item_finishes_first() {
+        // Item 0 cannot finish before item 1 has, so with two workers the
+        // completions arrive out of order; emission must still be 0, 1, 2.
+        let one_done = AtomicBool::new(false);
+        let finished = std::sync::Mutex::new(Vec::new());
+        let mut emitted = Vec::new();
+        stream_trials(
+            2,
+            &[0usize, 1, 2],
+            || (),
+            |_, &t, _| {
+                if t == 0 {
+                    while !one_done.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                finished.lock().unwrap().push(t);
+                if t == 1 {
+                    one_done.store(true, Ordering::SeqCst);
+                }
+                t * 10
+            },
+            |i, r| {
+                emitted.push((i, r));
+                Ok::<(), Cancelled>(())
+            },
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            finished.into_inner().unwrap()[0],
+            1,
+            "item 1 finished first"
+        );
+        assert_eq!(emitted, vec![(0, 0), (1, 10), (2, 20)]);
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum StreamErr {
+        Sink(usize),
+        Cancelled,
+    }
+
+    impl From<Cancelled> for StreamErr {
+        fn from(_: Cancelled) -> Self {
+            StreamErr::Cancelled
+        }
+    }
+
+    #[test]
+    fn an_emit_error_stops_claims_and_callbacks() {
+        for threads in [1, 2] {
+            let failed = AtomicBool::new(false);
+            let ran = AtomicUsize::new(0);
+            let mut emits = 0;
+            let items: Vec<usize> = (0..10_000).collect();
+            let err = stream_trials(
+                threads,
+                &items,
+                || (),
+                |_, &t, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    // Items past the failing one wait for its error, so
+                    // the workers cannot run the whole list first.
+                    while t > 3 && !failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                },
+                |i, ()| {
+                    emits += 1;
+                    if i == 3 {
+                        failed.store(true, Ordering::SeqCst);
+                        return Err(StreamErr::Sink(i));
+                    }
+                    Ok(())
+                },
+                None,
+            );
+            assert_eq!(err, Err(StreamErr::Sink(3)), "{threads} threads");
+            assert_eq!(emits, 4, "no callback after the error ({threads} threads)");
+            let ran = ran.load(Ordering::SeqCst);
+            assert!(ran < items.len() / 2, "{ran} items ran ({threads} threads)");
+        }
+    }
+
+    #[test]
+    fn a_token_fired_mid_stream_returns_cancelled() {
+        for threads in [1, 2, 3] {
+            let token = CancelToken::new();
+            let mut emitted = Vec::new();
+            let items: Vec<usize> = (0..200).collect();
+            let err = stream_trials(
+                threads,
+                &items,
+                || (),
+                |_, &t, _| t,
+                |i, t| {
+                    emitted.push(t);
+                    if i == 2 {
+                        token.cancel();
+                    }
+                    Ok::<(), StreamErr>(())
+                },
+                Some(&token),
+            );
+            assert_eq!(err, Err(StreamErr::Cancelled), "{threads} threads");
+            assert_eq!(emitted, vec![0, 1, 2], "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_propagates_and_does_not_hang() {
+        for threads in [1, 2, 4] {
+            let items: Vec<usize> = (0..10_000).collect();
+            let outcome = std::panic::catch_unwind(|| {
+                stream_trials(
+                    threads,
+                    &items,
+                    || (),
+                    |_, &t, _| {
+                        assert_ne!(t, 5, "item 5 fails");
+                        t
+                    },
+                    |_, _| Ok::<(), Cancelled>(()),
+                    None,
+                )
+            });
+            assert!(outcome.is_err(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn one_thread_runs_every_item_inline_on_one_arena() {
+        let caller = std::thread::current().id();
+        let arenas = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..20).collect();
+        let mut emitted = 0;
+        stream_trials(
+            1,
+            &items,
+            || {
+                arenas.fetch_add(1, Ordering::SeqCst);
+            },
+            |_, _, _| assert_eq!(std::thread::current().id(), caller),
+            |_, ()| {
+                emitted += 1;
+                Ok::<(), Cancelled>(())
+            },
+            None,
+        )
+        .unwrap();
+        assert_eq!(emitted, items.len());
+        assert_eq!(arenas.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! The scenario engine: compiles a [`Scenario`] into flattened trial
-//! descriptors, executes them on [`crate::exec::run_trials`], aggregates
+//! descriptors, executes them on the [`crate::exec`] work list, aggregates
 //! per-point statistics, and streams result rows to a [`Sink`] as each
 //! grid point completes.
 //!
+//! The draw family (fig4, burst-sweep, bank-voltage, tradeoff and the
+//! noise sweep) runs through one function, `draw_sweep`: the lane
+//! groups of *all* points of a sweep form one work list on
+//! [`crate::exec::stream_trials`], with no barrier between points, and
+//! each point's rows are emitted as its last group arrives in order.
+//!
 //! Determinism contract: every number depends only on the spec (seeds
 //! derive from [`crate::campaign::fault_seed`] over descriptor indices,
-//! reductions happen in trial order after the executor's order-restoring
-//! merge), so output is bit-identical at any thread count — the golden
+//! reductions happen in trial order after the executor's in-order
+//! delivery), so output is bit-identical at any thread count — the golden
 //! differential test pins the five paper presets against the pre-refactor
 //! runners.
 
 use std::io;
 
-use dream_core::{EmtKind, TrialBatch};
+use dream_core::{AccessStats, EmtKind, TrialBatch};
 use dream_dsp::{samples_to_f64, snr_db, AppKind, BiomedicalApp};
 use dream_ecg::Record;
 use dream_energy::EnergyBreakdown;
@@ -500,6 +506,26 @@ struct Cell {
     corrected: f64,
 }
 
+impl Cell {
+    /// A trial's cell: its SNR and the read-outcome rates of its access
+    /// counts (0 for a trial that read nothing).
+    fn observed(snr_db: f64, stats: AccessStats) -> Cell {
+        let (uncorrectable, corrected) = if stats.reads > 0 {
+            (
+                stats.uncorrectable_reads as f64 / stats.reads as f64,
+                stats.corrected_reads as f64 / stats.reads as f64,
+            )
+        } else {
+            (0.0, 0.0)
+        };
+        Cell {
+            snr_db,
+            uncorrectable,
+            corrected,
+        }
+    }
+}
+
 /// One memoized clean pass: the aggregated read trace of an (EMT, app,
 /// record) triple on fault-free memory, plus its capped reference SNR.
 ///
@@ -586,255 +612,261 @@ fn record_clean_passes(
     Ok(passes)
 }
 
-/// Point-invariant inputs of one Monte-Carlo draw batch: the resolved
-/// fault model, the calibration behind it, the record suite with its
-/// references, the shared geometry, and the campaign's execution settings
-/// and cancel token.
-struct DrawCtx<'a> {
-    /// The point-resolved [`FaultModel`]
-    /// ([`crate::scenario::FaultModelSpec::resolve`] at the point's
-    /// operating voltage).
-    fault_model: &'a FaultModel,
+/// One grid point of a draw sweep: its seed coordinate (the point index
+/// across the whole spec, `point_offset` included) and its resolved
+/// [`FaultModel`] ([`crate::scenario::FaultModelSpec::resolve`] at the
+/// point's operating voltage).
+struct DrawPoint {
+    index: usize,
+    fault_model: FaultModel,
+}
+
+/// Point-invariant inputs of a draw sweep: the BER calibration, the
+/// record suite with its references, the shared geometry and the
+/// memoized clean passes.
+struct DrawSuite<'a> {
     /// Feeds the per-bank-voltage model's ΔV→BER mapping.
     ber_model: &'a BerModel,
     records: &'a [Record],
-    references: &'a [Vec<Vec<f64>>],
+    references: &'a References,
     geometry: MemGeometry,
-    /// Memoized clean passes, recorded exactly when the campaign batches:
-    /// `Some` selects [`draw_point_batched`], `None` the scalar path, which
-    /// recomputes nothing to begin with.
+    /// Recorded exactly when the campaign batches: `Some` selects the
+    /// bit-sliced group body, `None` the scalar one, which recomputes
+    /// nothing to begin with.
     clean: Option<&'a CleanPasses>,
-    cfg: ExecConfig,
-    cancel: Option<&'a CancelToken>,
 }
 
-/// Runs the draws of one grid point: `sc.trials` maps drawn by
-/// `ctx.fault_model`, each shared across every EMT and app (§V
-/// methodology), returning the cells in (run, emt, app) order.
-fn draw_point(
-    sc: &Scenario,
+/// One work item of a draw sweep: a lane group of up to [`MAX_LANES`]
+/// consecutive runs of one point.
+struct DrawItem {
+    /// Position in the sweep's point list.
     point: usize,
-    ctx: &DrawCtx,
-) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    if let Some(clean) = ctx.clean {
-        return draw_point_batched(sc, point, ctx, clean);
-    }
-    let DrawCtx {
-        fault_model,
-        ber_model,
-        records,
-        references,
-        geometry,
-        clean: _,
-        cfg,
-        cancel,
-    } = *ctx;
-    let runs: Vec<usize> = (0..sc.trials).collect();
-    let scratch = || {
-        let apps: Vec<Box<dyn BiomedicalApp>> =
-            sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
-        let mems: Vec<EmtMemory> = sc
+    runs: std::ops::Range<usize>,
+}
+
+/// A draw worker's arena, built once per sweep: app instances, one
+/// memory per EMT, one armed map per lane and the lane planes.
+struct DrawArena {
+    apps: Vec<Box<dyn BiomedicalApp>>,
+    mems: Vec<EmtMemory>,
+    /// One armed map per lane (a single one for the scalar body), reused
+    /// by every evicted cell of the lane: a run arms once and shares the
+    /// map across its EMT × app cells, and re-arming per evicted cell
+    /// would pay that O(words · width) clear-and-sample up to EMTs × apps
+    /// times over.
+    maps: Vec<FaultMap>,
+    planes: BatchFaultPlanes,
+}
+
+/// Runs the Monte-Carlo draws of every point of a sweep — `sc.trials`
+/// maps per point drawn by its fault model, each shared across every EMT
+/// and app (§V methodology) — and hands each point's per-(EMT, app)
+/// aggregate to `on_point` in point order, as soon as the point is done.
+///
+/// The work list spans the whole sweep: every point's runs, chunked to
+/// the lane budget, claimed in point order by one
+/// [`exec::stream_trials`] call. Workers never wait at a point boundary,
+/// so a slow low-voltage point overlaps the next points instead of
+/// idling a worker behind its tail group. The executor's in-order
+/// delivery keeps rows streaming per point, and a cancelled sweep leaves
+/// a prefix of whole points.
+fn draw_sweep(
+    sc: &Scenario,
+    points: &[DrawPoint],
+    suite: &DrawSuite,
+    cfg: ExecConfig,
+    cancel: Option<&CancelToken>,
+    mut on_point: impl FnMut(usize, Vec<(EmtKind, AppKind, Cell, f64)>) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    // Groups chunk each point's runs in order to the lane budget. Trace
+    // replay feeds each lane exactly its own record's events, so lanes
+    // need not share a record and small campaigns fill whole groups.
+    let items: Vec<DrawItem> = (0..points.len())
+        .flat_map(|point| {
+            (0..sc.trials)
+                .step_by(MAX_LANES)
+                .map(move |start| DrawItem {
+                    point,
+                    runs: start..(start + MAX_LANES).min(sc.trials),
+                })
+        })
+        .collect();
+    let geometry = suite.geometry;
+    // The scalar body re-arms a single map for each run in turn.
+    let lane_maps = match suite.clean {
+        Some(_) => sc.trials.min(MAX_LANES),
+        None => 1,
+    };
+    let scratch = || DrawArena {
+        apps: sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect(),
+        mems: sc
             .emts
             .iter()
             .map(|&emt| EmtMemory::new(emt, geometry))
-            .collect();
-        let map = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
-        (apps, mems, map)
+            .collect(),
+        maps: (0..lane_maps)
+            .map(|_| FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH))
+            .collect(),
+        planes: BatchFaultPlanes::new(geometry.words(), SHARED_MAP_WIDTH),
     };
-    exec::run_trials_cancellable(
+    let mut cells: Vec<Vec<Cell>> = Vec::with_capacity(sc.trials);
+    exec::stream_trials(
         cfg.threads,
-        &runs,
+        &items,
         scratch,
-        |(apps, mems, map), &run, _| {
-            // Same seed across EMTs and apps => same fault map, as in the
-            // paper; the wide map covers the widest codeword. `Iid` draws are
-            // bit-identical to the historical `regenerate` call.
-            let seed = fault_seed(sc.seed, point, run);
-            fault_model.arm(map, &geometry, ber_model, seed);
-            let record = &records[run % records.len()];
-            let mut cells = Vec::with_capacity(sc.emts.len() * apps.len());
-            for mem in mems.iter_mut() {
-                for (ai, app) in apps.iter().enumerate() {
-                    mem.reset_with_fault_map(map);
-                    if let Some(base) = sc.scrambler_key {
-                        // Fresh logical→physical mapping per (point, run): the
-                        // §V randomization that lets one die emulate many.
-                        mem.set_scrambler(AddressScrambler::new(
-                            geometry.words(),
-                            fault_seed(base, point, run),
-                        ));
-                    }
-                    let out = mem.run_app(&**app, &record.samples);
-                    let snr = cap_snr(snr_db(
-                        &references[ai][run % records.len()],
-                        &samples_to_f64(&out),
-                    ));
-                    let stats = mem.stats();
-                    let (uncorrectable, corrected) = if stats.reads > 0 {
-                        (
-                            stats.uncorrectable_reads as f64 / stats.reads as f64,
-                            stats.corrected_reads as f64 / stats.reads as f64,
-                        )
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    cells.push(Cell {
-                        snr_db: snr,
-                        uncorrectable,
-                        corrected,
-                    });
-                }
+        |arena, item, _| {
+            let point = &points[item.point];
+            match suite.clean {
+                Some(clean) => draw_group_batched(sc, point, item, suite, clean, cfg, arena),
+                None => draw_group_scalar(sc, point, item, suite, arena),
             }
-            cells
+        },
+        |i, group| {
+            cells.extend(group);
+            let item = &items[i];
+            if item.runs.end == sc.trials {
+                on_point(item.point, aggregate_point(sc, &cells))?;
+                cells.clear();
+            }
+            Ok(())
         },
         cancel,
     )
 }
 
-/// Bit-sliced variant of [`draw_point`]: runs ride memoized clean passes
-/// per (EMT, app) in lanes of up to [`MAX_LANES`]. Each lane's drawn
-/// fault map (scrambler included, resolved to logical addresses) is
-/// transposed into [`BatchFaultPlanes`]; with clean traces in hand a
-/// group freely mixes records — each record's trace replays on exactly
-/// the lanes that drew it — so even campaigns with few trials per record
-/// fill whole groups. Survivors take their record's clean SNR and their
-/// [`TrialBatch::lane_stats`] outcome counts, evicted lanes replay the
-/// ordinary scalar trial — so the returned cells, in the same
-/// (run, emt, app) order, are bit-identical to [`draw_point`]'s.
-fn draw_point_batched(
+/// Scalar body of a draw item: each run arms its map once and runs every
+/// (EMT, app) cell on it, returning the cells in (run, emt, app) order.
+fn draw_group_scalar(
     sc: &Scenario,
-    point: usize,
-    ctx: &DrawCtx,
-    clean: &CleanPasses,
-) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    let DrawCtx {
-        fault_model,
-        ber_model,
-        records,
-        references,
-        geometry,
-        clean: _,
-        cfg,
-        cancel,
-    } = *ctx;
-    // Trace replay feeds each lane exactly its own record's events (masked
-    // sub-replays share one plane transposition), so lanes need not share a
-    // record: chunk runs in order to the lane budget. Small campaigns fill
-    // whole groups instead of fragmenting into per-record slivers.
-    let groups: Vec<Vec<usize>> = (0..sc.trials)
-        .collect::<Vec<_>>()
-        .chunks(MAX_LANES)
-        .map(<[_]>::to_vec)
-        .collect();
-    // One armed map per lane, reused by every evicted cell of the lane:
-    // the scalar path arms once per run and shares the map across its
-    // EMT × app cells, and re-arming per evicted cell would pay that
-    // O(words · width) clear-and-sample up to EMTs × apps times over.
-    let lane_budget = sc.trials.min(MAX_LANES);
-    let scratch = || {
-        let apps: Vec<Box<dyn BiomedicalApp>> =
-            sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
-        let mems: Vec<EmtMemory> = sc
-            .emts
-            .iter()
-            .map(|&emt| EmtMemory::new(emt, geometry))
-            .collect();
-        let maps: Vec<FaultMap> = (0..lane_budget)
-            .map(|_| FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH))
-            .collect();
-        let planes = BatchFaultPlanes::new(geometry.words(), SHARED_MAP_WIDTH);
-        (apps, mems, maps, planes)
-    };
-    let per_group = exec::run_trials_cancellable(
-        cfg.threads,
-        &groups,
-        scratch,
-        |(apps, mems, maps, planes), group, _| {
-            planes.clear();
-            // Lanes replaying the same record form one masked sub-group.
-            let mut parts: Vec<(usize, u64)> = Vec::new();
-            for (lane, &run) in group.iter().enumerate() {
-                let ri = run % records.len();
-                match parts.iter_mut().find(|(r, _)| *r == ri) {
-                    Some((_, lanes)) => *lanes |= 1 << lane,
-                    None => parts.push((ri, 1 << lane)),
-                }
-                // Same draw as the scalar path; the scrambler is folded
-                // into the planes so the clean pass needs none.
-                let seed = fault_seed(sc.seed, point, run);
-                fault_model.arm(&mut maps[lane], &geometry, ber_model, seed);
-                let scrambler = sc.scrambler_key.map(|base| {
-                    AddressScrambler::new(geometry.words(), fault_seed(base, point, run))
-                });
-                planes.add_lane(lane, &maps[lane], scrambler.as_ref());
-            }
-            let mut cells: Vec<Vec<Cell>> = group
-                .iter()
-                .map(|_| Vec::with_capacity(sc.emts.len() * apps.len()))
-                .collect();
-            for (ei, mem) in mems.iter_mut().enumerate() {
+    point: &DrawPoint,
+    item: &DrawItem,
+    suite: &DrawSuite,
+    arena: &mut DrawArena,
+) -> Vec<Vec<Cell>> {
+    let DrawArena {
+        apps, mems, maps, ..
+    } = arena;
+    let map = &mut maps[0];
+    item.runs
+        .clone()
+        .map(|run| {
+            // Same seed across EMTs and apps => same fault map, as in the
+            // paper; the wide map covers the widest codeword. `Iid` draws
+            // are bit-identical to the historical `regenerate` call.
+            let seed = fault_seed(sc.seed, point.index, run);
+            point
+                .fault_model
+                .arm(map, &suite.geometry, suite.ber_model, seed);
+            let mut cells = Vec::with_capacity(mems.len() * apps.len());
+            for mem in mems.iter_mut() {
                 for (ai, app) in apps.iter().enumerate() {
-                    let mut batch = TrialBatch::with_bailout(group.len(), cfg.bailout);
-                    // Replay the memoized traces: only dirty events pay
-                    // plane work; the application never runs.
-                    for &(ri, lanes) in &parts {
-                        let pass = &clean[ei][ai][ri];
-                        mem.replay_trace(&pass.trace, planes, &mut batch, lanes);
-                    }
-                    let bailed = batch.bailed().count_ones();
-                    telemetry::record_batch_pass(
-                        group.len(),
-                        batch.evicted().count_ones() - bailed,
-                        bailed,
-                    );
-                    for (lane, &run) in group.iter().enumerate() {
-                        let ri = run % records.len();
-                        let (snr, stats) = if batch.is_alive(lane) {
-                            let pass = &clean[ei][ai][ri];
-                            (pass.snr, batch.lane_stats(lane, &pass.trace.stats()))
-                        } else {
-                            // Evicted: the ordinary scalar trial, verbatim
-                            // (the lane's map is already armed above).
-                            mem.reset_with_fault_map(&maps[lane]);
-                            if let Some(base) = sc.scrambler_key {
-                                mem.set_scrambler(AddressScrambler::new(
-                                    geometry.words(),
-                                    fault_seed(base, point, run),
-                                ));
-                            }
-                            let out = mem.run_app(&**app, &records[ri].samples);
-                            let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(&out)));
-                            (snr, mem.stats())
-                        };
-                        let (uncorrectable, corrected) = if stats.reads > 0 {
-                            (
-                                stats.uncorrectable_reads as f64 / stats.reads as f64,
-                                stats.corrected_reads as f64 / stats.reads as f64,
-                            )
-                        } else {
-                            (0.0, 0.0)
-                        };
-                        cells[lane].push(Cell {
-                            snr_db: snr,
-                            uncorrectable,
-                            corrected,
-                        });
-                    }
+                    cells.push(scalar_cell(sc, point, run, suite, mem, ai, &**app, map));
                 }
             }
-            group
-                .iter()
-                .zip(cells)
-                .map(|(&run, c)| (run, c))
-                .collect::<Vec<_>>()
-        },
-        cancel,
-    )?;
-    let mut out: Vec<Vec<Cell>> = (0..sc.trials).map(|_| Vec::new()).collect();
-    for (run, cells) in per_group.into_iter().flatten() {
-        out[run] = cells;
+            cells
+        })
+        .collect()
+}
+
+/// Bit-sliced body of a draw item: its runs ride memoized clean passes
+/// per (EMT, app) as the lanes of one group. Each lane's drawn fault map
+/// (scrambler included, resolved to logical addresses) is transposed into
+/// [`BatchFaultPlanes`]; each record's trace replays on exactly the lanes
+/// that drew it. Survivors take their record's clean SNR and their
+/// [`TrialBatch::lane_stats`] outcome counts, evicted lanes replay the
+/// ordinary scalar trial — so the cells, in the same (run, emt, app)
+/// order, are bit-identical to [`draw_group_scalar`]'s.
+fn draw_group_batched(
+    sc: &Scenario,
+    point: &DrawPoint,
+    item: &DrawItem,
+    suite: &DrawSuite,
+    clean: &CleanPasses,
+    cfg: ExecConfig,
+    arena: &mut DrawArena,
+) -> Vec<Vec<Cell>> {
+    let DrawArena {
+        apps,
+        mems,
+        maps,
+        planes,
+    } = arena;
+    let records = suite.records;
+    let lanes = item.runs.len();
+    planes.clear();
+    // Lanes replaying the same record form one masked sub-group.
+    let mut parts: Vec<(usize, u64)> = Vec::new();
+    for (lane, run) in item.runs.clone().enumerate() {
+        let ri = run % records.len();
+        match parts.iter_mut().find(|(r, _)| *r == ri) {
+            Some((_, mask)) => *mask |= 1 << lane,
+            None => parts.push((ri, 1 << lane)),
+        }
+        // Same draw as the scalar path; the scrambler is folded into the
+        // planes so the clean pass needs none.
+        let seed = fault_seed(sc.seed, point.index, run);
+        point
+            .fault_model
+            .arm(&mut maps[lane], &suite.geometry, suite.ber_model, seed);
+        let scrambler = sc.scrambler_key.map(|base| {
+            AddressScrambler::new(suite.geometry.words(), fault_seed(base, point.index, run))
+        });
+        planes.add_lane(lane, &maps[lane], scrambler.as_ref());
     }
-    Ok(out)
+    let mut cells: Vec<Vec<Cell>> = (0..lanes)
+        .map(|_| Vec::with_capacity(mems.len() * apps.len()))
+        .collect();
+    for (ei, mem) in mems.iter_mut().enumerate() {
+        for (ai, app) in apps.iter().enumerate() {
+            let mut batch = TrialBatch::with_bailout(lanes, cfg.bailout);
+            // Replay the memoized traces: only dirty events pay plane
+            // work; the application never runs.
+            for &(ri, mask) in &parts {
+                mem.replay_trace(&clean[ei][ai][ri].trace, planes, &mut batch, mask);
+            }
+            let bailed = batch.bailed().count_ones();
+            telemetry::record_batch_pass(lanes, batch.evicted().count_ones() - bailed, bailed);
+            for (lane, run) in item.runs.clone().enumerate() {
+                let cell = if batch.is_alive(lane) {
+                    let pass = &clean[ei][ai][run % records.len()];
+                    Cell::observed(pass.snr, batch.lane_stats(lane, &pass.trace.stats()))
+                } else {
+                    // Evicted: the ordinary scalar trial, verbatim (the
+                    // lane's map is already armed above).
+                    scalar_cell(sc, point, run, suite, mem, ai, &**app, &maps[lane])
+                };
+                cells[lane].push(cell);
+            }
+        }
+    }
+    cells
+}
+
+/// The scalar trial of one (EMT, app) cell of `run` on its armed `map`.
+#[allow(clippy::too_many_arguments)]
+fn scalar_cell(
+    sc: &Scenario,
+    point: &DrawPoint,
+    run: usize,
+    suite: &DrawSuite,
+    mem: &mut EmtMemory,
+    ai: usize,
+    app: &dyn BiomedicalApp,
+    map: &FaultMap,
+) -> Cell {
+    let ri = run % suite.records.len();
+    mem.reset_with_fault_map(map);
+    if let Some(base) = sc.scrambler_key {
+        // Fresh logical→physical mapping per (point, run): the §V
+        // randomization that lets one die emulate many.
+        mem.set_scrambler(AddressScrambler::new(
+            suite.geometry.words(),
+            fault_seed(base, point.index, run),
+        ));
+    }
+    let out = mem.run_app(app, &suite.records[ri].samples);
+    let snr = cap_snr(snr_db(&suite.references[ai][ri], &samples_to_f64(&out)));
+    Cell::observed(snr, mem.stats())
 }
 
 /// Aggregates one grid point's cells into per-(EMT, app) statistics, in
@@ -944,29 +976,29 @@ fn voltage_points(
         None
     };
     let model = sc.fault.to_model();
-    let mut points = Vec::new();
-    for (vi, &voltage) in voltages.iter().enumerate() {
-        let fault_model = sc.fault.model.resolve(&model, voltage);
-        let results = draw_point(
-            sc,
-            sc.point_offset + vi,
-            &DrawCtx {
-                fault_model: &fault_model,
-                ber_model: &model,
-                records: &records,
-                references: &references,
-                geometry,
-                clean: clean.as_ref(),
-                cfg,
-                cancel,
-            },
-        )?;
-        let batch: Vec<Fig4Point> = aggregate_point(sc, &results)
+    let points: Vec<DrawPoint> = voltages
+        .iter()
+        .enumerate()
+        .map(|(vi, &voltage)| DrawPoint {
+            index: sc.point_offset + vi,
+            fault_model: sc.fault.model.resolve(&model, voltage),
+        })
+        .collect();
+    let suite = DrawSuite {
+        ber_model: &model,
+        records: &records,
+        references: &references,
+        geometry,
+        clean: clean.as_ref(),
+    };
+    let mut out = Vec::new();
+    draw_sweep(sc, &points, &suite, cfg, cancel, |vi, cells| {
+        let batch: Vec<Fig4Point> = cells
             .into_iter()
             .map(|(emt, app, mean, min)| Fig4Point {
                 app,
                 emt,
-                voltage,
+                voltage: voltages[vi],
                 mean_snr_db: mean.snr_db,
                 min_snr_db: min,
                 uncorrectable_rate: mean.uncorrectable,
@@ -974,9 +1006,10 @@ fn voltage_points(
             })
             .collect();
         on_point(&batch)?;
-        points.extend(batch);
-    }
-    Ok(points)
+        out.extend(batch);
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 fn run_voltage(
@@ -1033,9 +1066,9 @@ fn run_noise(
     let mut rendered = Vec::new();
     // The apps (and hence the geometry) are scale-independent; the record
     // suite and per-(app, record) references depend on the scale — and
-    // only on it. Keeping the most recent suite means consecutive grid
-    // points at one scale pay for the reference computation exactly once,
-    // without holding every suite of a long sweep in memory at once.
+    // only on it. Consecutive grid points at one scale share one suite,
+    // so they pay for the reference computation exactly once, without
+    // holding every suite of a long sweep in memory at once.
     let apps: Vec<Box<dyn BiomedicalApp>> =
         sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
     let geometry = banked_geometry(
@@ -1044,70 +1077,75 @@ fn run_noise(
             .max()
             .expect("validated: at least one app"),
     );
-    let mut suite: Option<(u64, Vec<Record>, References, Option<CleanPasses>)> = None;
-    for (si, &scale) in scales.iter().enumerate() {
-        let key = scale.to_bits();
-        if suite.as_ref().is_none_or(|(k, ..)| *k != key) {
-            let records = record_suite_with_noise(sc.window, sc.effective_records(), scale);
-            let references: References = apps
+    // Each run of consecutive points at one scale is one draw sweep over
+    // that scale's suite.
+    let mut start = 0;
+    while start < scales.len() {
+        let scale = scales[start];
+        let end = start
+            + scales[start..]
                 .iter()
-                .map(|app| reference_outputs_on(cfg.threads, &**app, &records))
-                .collect();
-            // Clean passes follow the suite: consecutive points at one
-            // scale share them, like the references.
-            let clean = if cfg.batch {
-                Some(record_clean_passes(
-                    sc,
-                    &records,
-                    &references,
-                    geometry,
-                    cfg.threads,
-                    cancel,
-                )?)
-            } else {
-                None
-            };
-            suite = Some((key, records, references, clean));
-        }
-        let (_, records, references, clean) = suite.as_ref().expect("just populated");
-        let results = draw_point(
-            sc,
-            sc.point_offset + si,
-            &DrawCtx {
-                fault_model: &fault_model,
-                ber_model: &model,
-                records,
-                references,
+                .take_while(|s| s.to_bits() == scale.to_bits())
+                .count();
+        let records = record_suite_with_noise(sc.window, sc.effective_records(), scale);
+        let references: References = apps
+            .iter()
+            .map(|app| reference_outputs_on(cfg.threads, &**app, &records))
+            .collect();
+        // Clean passes follow the suite, like the references.
+        let clean = if cfg.batch {
+            Some(record_clean_passes(
+                sc,
+                &records,
+                &references,
                 geometry,
-                clean: clean.as_ref(),
-                cfg,
+                cfg.threads,
                 cancel,
-            },
-        )?;
-        let mut batch = Vec::new();
-        for (emt, app, mean, min) in aggregate_point(sc, &results) {
-            let row = NoisePoint {
-                scale,
-                emt,
-                app,
-                mean_snr_db: mean.snr_db,
-                min_snr_db: min,
-                corrected_rate: mean.corrected,
-                uncorrectable_rate: mean.uncorrectable,
-            };
-            batch.push(vec![
-                format!("{:.2}", row.scale),
-                row.emt.to_string(),
-                row.app.to_string(),
-                format!("{:.3}", row.mean_snr_db),
-                format!("{:.3}", row.min_snr_db),
-                format!("{:.6}", row.corrected_rate),
-                format!("{:.6}", row.uncorrectable_rate),
-            ]);
-            typed.push(row);
-        }
-        sink.emit(&batch)?;
-        rendered.extend(batch);
+            )?)
+        } else {
+            None
+        };
+        let points: Vec<DrawPoint> = (start..end)
+            .map(|si| DrawPoint {
+                index: sc.point_offset + si,
+                fault_model: fault_model.clone(),
+            })
+            .collect();
+        let suite = DrawSuite {
+            ber_model: &model,
+            records: &records,
+            references: &references,
+            geometry,
+            clean: clean.as_ref(),
+        };
+        draw_sweep(sc, &points, &suite, cfg, cancel, |_, cells| {
+            let mut batch = Vec::new();
+            for (emt, app, mean, min) in cells {
+                let row = NoisePoint {
+                    scale,
+                    emt,
+                    app,
+                    mean_snr_db: mean.snr_db,
+                    min_snr_db: min,
+                    corrected_rate: mean.corrected,
+                    uncorrectable_rate: mean.uncorrectable,
+                };
+                batch.push(vec![
+                    format!("{:.2}", row.scale),
+                    row.emt.to_string(),
+                    row.app.to_string(),
+                    format!("{:.3}", row.mean_snr_db),
+                    format!("{:.3}", row.min_snr_db),
+                    format!("{:.6}", row.corrected_rate),
+                    format!("{:.6}", row.uncorrectable_rate),
+                ]);
+                typed.push(row);
+            }
+            sink.emit(&batch)?;
+            rendered.extend(batch);
+            Ok(())
+        })?;
+        start = end;
     }
     sink.finish()?;
     Ok(ScenarioOutcome {

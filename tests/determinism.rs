@@ -8,10 +8,13 @@ use std::collections::HashSet;
 use dream_suite::dsp::AppKind;
 use dream_suite::sim::campaign::fault_seed;
 use dream_suite::sim::exec;
+use dream_suite::sim::exec::CancelToken;
 use dream_suite::sim::fig2::Fig2Config;
 use dream_suite::sim::fig4::Fig4Config;
-use dream_suite::sim::report::JsonlSink;
-use dream_suite::sim::scenario::{CampaignRunner, OutcomeData, Scenario};
+use dream_suite::sim::report::{JsonlSink, Sink};
+use dream_suite::sim::scenario::{
+    registry, CampaignRunner, Grid, OutcomeData, Scenario, ShardPlan,
+};
 use proptest::prelude::*;
 
 fn fig2_cfg() -> Fig2Config {
@@ -125,6 +128,118 @@ fn concurrent_campaigns_keep_their_own_settings() {
             "{}: settings must not change bytes",
             sc.name
         );
+    }
+}
+
+/// A fig4 sweep whose points split into uneven lane groups: 130 runs are
+/// groups of 64, 64 and 2, so with a sweep-wide work list a worker runs
+/// into the next point while another finishes a point's tail.
+fn uneven_sweep() -> Scenario {
+    let mut sc = registry::get("fig4", true).expect("preset exists");
+    sc.window = 256;
+    sc.records = 2;
+    sc.trials = 130;
+    sc.apps = vec![AppKind::Dwt, AppKind::MatrixFilter];
+    sc.grid = Grid::Voltage(vec![0.5, 0.7, 0.9]);
+    sc
+}
+
+fn sweep_jsonl(runner: CampaignRunner) -> String {
+    let mut sink = JsonlSink::new(Vec::new());
+    runner.run(&mut sink).expect("campaign runs");
+    String::from_utf8(sink.into_inner()).expect("utf-8 rows")
+}
+
+/// The sweep-wide work list streams the same bytes at every thread count
+/// and on both the batched and the scalar body.
+#[test]
+fn uneven_sweep_is_identical_at_every_thread_count_and_batch_mode() {
+    let sc = uneven_sweep();
+    let want = sweep_jsonl(CampaignRunner::new(sc.clone()).threads(1).batch(false));
+    assert_eq!(want.lines().count(), 3 * sc.emts.len() * sc.apps.len());
+    for (threads, batch) in [(2, false), (3, false), (1, true), (2, true), (3, true)] {
+        let got = sweep_jsonl(
+            CampaignRunner::new(sc.clone())
+                .threads(threads)
+                .batch(batch),
+        );
+        assert_eq!(got, want, "{threads} threads, batch {batch}");
+    }
+}
+
+/// Rows still stream per point, in point order: one progress event and
+/// one emitted batch per voltage, each batch holding only its voltage.
+#[test]
+fn uneven_sweep_streams_one_batch_per_voltage_in_order() {
+    struct Voltages(Vec<Vec<String>>);
+    impl Sink for Voltages {
+        fn begin(&mut self, _headers: &[&str]) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn emit(&mut self, rows: &[Vec<String>]) -> std::io::Result<()> {
+            // Column 2 of a fig4 row is its voltage.
+            self.0.push(rows.iter().map(|r| r[2].clone()).collect());
+            Ok(())
+        }
+        fn finish(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let sc = uneven_sweep();
+    let per_point = sc.emts.len() * sc.apps.len();
+    for threads in [1, 3] {
+        let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = std::sync::Arc::clone(&events);
+        let mut sink = Voltages(Vec::new());
+        CampaignRunner::new(sc.clone())
+            .threads(threads)
+            .on_progress(move |p| seen.lock().unwrap().push((p.batches, p.rows)))
+            .run(&mut sink)
+            .expect("campaign runs");
+        let events = events.lock().unwrap().clone();
+        assert_eq!(
+            events,
+            vec![(1, per_point), (2, 2 * per_point), (3, 3 * per_point)],
+            "{threads} threads"
+        );
+        for (batch, voltage) in sink.0.iter().zip(["0.50", "0.70", "0.90"]) {
+            assert_eq!(batch.len(), per_point, "{threads} threads");
+            assert!(batch.iter().all(|v| v == voltage), "{batch:?}");
+        }
+        assert_eq!(sink.0.len(), 3, "{threads} threads");
+    }
+}
+
+/// Cancelling from the first point's progress event leaves exactly that
+/// point on the sink, and `ShardPlan::resume` completes it to the bytes
+/// of an uninterrupted run.
+#[test]
+fn uneven_sweep_cancelled_after_its_first_point_resumes_identically() {
+    let sc = uneven_sweep();
+    let full = sweep_jsonl(CampaignRunner::new(sc.clone()).threads(2));
+    for threads in [1, 2, 3] {
+        let token = CancelToken::new();
+        let trip = token.clone();
+        let mut sink = JsonlSink::new(Vec::new());
+        let err = CampaignRunner::new(sc.clone())
+            .threads(threads)
+            .cancel_token(token)
+            .on_progress(move |_| trip.cancel())
+            .run(&mut sink)
+            .expect_err("cancelled");
+        assert!(
+            matches!(err, dream_suite::sim::scenario::EngineError::Cancelled),
+            "{err:?}"
+        );
+        let partial = String::from_utf8(sink.into_inner()).expect("utf-8 rows");
+        let rows = partial.lines().count();
+        assert_eq!(rows, sc.emts.len() * sc.apps.len(), "{threads} threads");
+        let (kept, rest) = ShardPlan::resume(&sc, rows).expect("resumable");
+        assert_eq!(kept, rows);
+        let rest = rest.expect("two points remain");
+        assert_eq!(rest.grid.len(), 2);
+        let resumed = sweep_jsonl(CampaignRunner::new(rest).threads(threads));
+        assert_eq!(format!("{partial}{resumed}"), full, "{threads} threads");
     }
 }
 

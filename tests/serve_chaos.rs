@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use dream_suite::serve::chaos::{ChaosProxy, Fault};
 use dream_suite::serve::client::{fetch_campaign, RetryPolicy};
 use dream_suite::serve::http::client_request;
-use dream_suite::serve::{campaign_id, ServeConfig, Server, Store};
+use dream_suite::serve::{campaign_id, ServeConfig, Server, Store, TestHold};
 use dream_suite::sim::report::JsonlSink;
 use dream_suite::sim::scenario::json::Json;
 use dream_suite::sim::scenario::{registry, Scenario};
@@ -40,8 +40,8 @@ fn smoke_spec(seed: u64, trials: usize) -> Scenario {
 }
 
 /// A campaign that emits in stages: fig4 batches per voltage grid point,
-/// so rows land on disk several times over a multi-second run — the shape
-/// a drain must be able to interrupt mid-artifact.
+/// so rows land on disk several times per run — the shape a drain must be
+/// able to interrupt mid-artifact.
 fn staged_spec(seed: u64) -> Scenario {
     let mut sc = registry::get("fig4", true).expect("preset exists");
     sc.records = 4;
@@ -169,6 +169,7 @@ fn transport_chaos_is_survived_by_the_retrying_client() {
 #[test]
 fn full_queue_sheds_with_retry_after_and_the_client_waits_it_out() {
     // One worker, one queue slot: the third distinct campaign must shed.
+    let hold = TestHold::new();
     let addr = boot_with(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         store_dir: temp_store("backpressure"),
@@ -176,36 +177,62 @@ fn full_queue_sheds_with_retry_after_and_the_client_waits_it_out() {
         threads: 1,
         queue_depth: 1,
         retry_after: Duration::from_secs(1),
+        hold: Some(hold.clone()),
         ..ServeConfig::default()
     });
 
-    // `a` holds the worker for several seconds; `b` fills the queue.
+    // `a` holds the worker (paused after its first batch until the hold
+    // is released below); `b` fills the queue.
     let a = smoke_spec(0xAAAA, 30);
     let b = smoke_spec(0xBBBB, 1);
     let c = smoke_spec(0xCCCC, 1);
-    let _a = post_without_reading(&addr, &a.to_json());
-    let _b = post_without_reading(&addr, &b.to_json());
-
-    // Give the submissions a moment to be admitted (queued/running).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
-        let body = String::from_utf8(health.body).expect("UTF-8");
-        if json_number(&body, "running") == 1 && json_number(&body, "queue_depth") == 1 {
-            break;
+    // Waits (bounded) until /healthz reports `running` and `queue_depth`.
+    let await_occupancy = |running: u64, queued: u64| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
+            let body = String::from_utf8(health.body).expect("UTF-8");
+            if json_number(&body, "running") == running
+                && json_number(&body, "queue_depth") == queued
+            {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "a/b never occupied the service: {body}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(
-            Instant::now() < deadline,
-            "a/b never occupied the service: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    };
+    // `b` is posted only once the worker has taken `a`: while `a` still
+    // holds the only queue slot, `b` itself would be shed.
+    let _a = post_without_reading(&addr, &a.to_json());
+    await_occupancy(1, 0);
+    let _b = post_without_reading(&addr, &b.to_json());
+    await_occupancy(1, 1);
 
     // A direct submission is shed with 429 + Retry-After.
     let shed = client_request(&addr, "POST", "/campaigns", c.to_json().as_bytes()).expect("POST c");
     assert_eq!(shed.status, 429);
     assert_eq!(shed.header("retry-after"), Some("1"));
     assert!(String::from_utf8_lossy(&shed.body).contains("error"));
+
+    // Keep `a` in flight until the retrying fetch below has been shed
+    // too, then let the queue drain.
+    let releaser = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while Instant::now() < deadline {
+                let stats = client_request(&addr, "GET", "/stats", b"").expect("stats");
+                if json_number(&String::from_utf8_lossy(&stats.body), "shed") >= 2 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            hold.release();
+        })
+    };
 
     // The retry layer honors the interval to eventual success.
     let policy = RetryPolicy {
@@ -222,6 +249,7 @@ fn full_queue_sheds_with_retry_after_and_the_client_waits_it_out() {
         "the fetch should have been shed at least once: {outcome:?}"
     );
     assert_eq!(String::from_utf8(got).expect("UTF-8"), reference_jsonl(&c));
+    releaser.join().expect("releaser thread");
 
     let stats = client_request(&addr, "GET", "/stats", b"").expect("stats");
     let stats_body = String::from_utf8(stats.body).expect("UTF-8");
@@ -230,8 +258,9 @@ fn full_queue_sheds_with_retry_after_and_the_client_waits_it_out() {
 
 #[test]
 fn drain_cancels_in_flight_and_a_restart_resumes_byte_identically() {
-    // Staged emission (one batch per voltage point over several seconds):
-    // the drain below must land between batches, mid-artifact.
+    // Staged emission (one batch per voltage point), held after the first
+    // batch by a hold this test never releases: the drain below must land
+    // between batches, mid-artifact.
     let sc = staged_spec(0xD7A1);
     let want = reference_jsonl(&sc);
     let id = campaign_id(&sc);
@@ -242,6 +271,7 @@ fn drain_cancels_in_flight_and_a_restart_resumes_byte_identically() {
         workers: 1,
         threads: 1,
         retry_after: Duration::from_secs(1),
+        hold: Some(TestHold::new()),
         ..ServeConfig::default()
     });
 
