@@ -48,30 +48,26 @@ fn bench_protected_access(c: &mut Criterion) {
     group.finish();
 }
 
-/// Reads from the memory's view against the forced full decoder, on a
-/// mid-voltage map where most — but not all — words are clean: the
-/// regression guard for the per-access read pipeline.
+/// Reads from the memory's view on a mid-voltage map where most — but
+/// not all — words are clean: the regression guard for the per-access
+/// read pipeline.
 fn bench_clean_fast_path(c: &mut Criterion) {
     let geometry = MemGeometry::inyu_data_memory();
     let ber = BerModel::date16().ber(0.6);
     let map = FaultMap::generate(geometry.words(), 22, ber, 42);
     let mut group = c.benchmark_group("read_fast_path_vs_full_decode");
     for kind in EmtKind::paper_set() {
-        for fast in [true, false] {
-            let mut mem = ProtectedMemory::with_fault_map(kind, geometry, &map);
-            mem.set_fast_path(fast);
-            for i in 0..1024 {
-                mem.write(i, (i * 31) as i16);
-            }
-            let label = format!("{kind}/{}", if fast { "fast" } else { "full" });
-            group.bench_function(BenchmarkId::from_parameter(label), |b| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    i = (i + 1) & 1023;
-                    black_box(mem.read(black_box(i)))
-                })
-            });
+        let mut mem = ProtectedMemory::with_fault_map(kind, geometry, &map);
+        for i in 0..1024 {
+            mem.write(i, (i * 31) as i16);
         }
+        group.bench_function(BenchmarkId::from_parameter(format!("{kind}/fast")), |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) & 1023;
+                black_box(mem.read(black_box(i)))
+            })
+        });
     }
     group.finish();
 }

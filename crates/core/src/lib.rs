@@ -51,7 +51,7 @@ pub use batch::{scalar_decode_batch, BatchDecode, TrialBatch};
 pub use dream::Dream;
 pub use ecc::EccSecDed;
 pub use emt::{AnyCodec, DecodeOutcome, Decoded, EmtCodec, EmtKind, Encoded};
-pub use protected::{force_full_decode, AccessStats, EnergyModelBundle, ProtectedMemory};
+pub use protected::{AccessStats, EnergyModelBundle, ProtectedMemory};
 pub use simple::{EvenParity, NoProtection};
 
 /// Extra storage bits per data word required by an EMT of the mask/ID

@@ -27,31 +27,13 @@
 //!   `Corrected` non-zero word) and decode the dirty words through their
 //!   faults; installing a scrambler rebuilds the whole view.
 //!   Statistics (and therefore energy accounting) are bit-identical to
-//!   decoding on every read; [`force_full_decode`] and
-//!   [`ProtectedMemory::set_fast_path`] route reads through the decoder so
-//!   differential tests can prove it.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//!   decoding on every read: tests check each view read against the
+//!   oracle `codec().decode(data_array().read(a), side_word(a))`.
 
 use dream_energy::{calib, EnergyBreakdown, SramEnergyModel};
 use dream_mem::{FaultMap, FaultySram, MemGeometry};
 
 use crate::emt::{AnyCodec, DecodeOutcome, Decoded, EmtCodec, EmtKind};
-
-/// Process-wide kill switch for the view read path, for differential
-/// tests that must compare view and full-decoder behaviour of whole
-/// campaigns. Memories sample it at construction and on
-/// [`ProtectedMemory::reset_with_fault_map`].
-static FORCE_FULL_DECODE: AtomicBool = AtomicBool::new(false);
-
-/// Test-only: force every subsequently built (or re-armed) memory to run
-/// the full decoder on every read instead of returning its view.
-///
-/// Both settings are observationally equivalent by construction; the
-/// differential suite in `tests/fast_path.rs` proves it on real campaigns.
-pub fn force_full_decode(disable_fast_path: bool) {
-    FORCE_FULL_DECODE.store(disable_fast_path, Ordering::SeqCst);
-}
 
 /// Running access/outcome counters of a [`ProtectedMemory`].
 ///
@@ -194,7 +176,6 @@ pub struct ProtectedMemory<C: EmtCodec = AnyCodec> {
     /// Bit `a` set: some stuck lane touches logical address `a`, so its
     /// read-back differs from the latched code and must be decoded.
     dirty: Vec<u64>,
-    fast_path: bool,
     stats: AccessStats,
 }
 
@@ -310,7 +291,6 @@ impl<C: EmtCodec> ProtectedMemory<C> {
             corrected: vec![0u64; blocks],
             uncorrectable: vec![0u64; blocks],
             dirty: Vec::with_capacity(blocks),
-            fast_path: !FORCE_FULL_DECODE.load(Ordering::Relaxed),
             stats: AccessStats::default(),
         };
         mem.data.fault_map().pack_stuck_words(&mut mem.dirty);
@@ -390,7 +370,6 @@ impl<C: EmtCodec> ProtectedMemory<C> {
         self.side.fill(0);
         self.data.fault_map().pack_stuck_words(&mut self.dirty);
         self.load_virgin_view();
-        self.fast_path = !FORCE_FULL_DECODE.load(Ordering::Relaxed);
         self.stats = AccessStats::default();
     }
 
@@ -469,13 +448,6 @@ impl<C: EmtCodec> ProtectedMemory<C> {
         }
     }
 
-    /// Test-only: `false` routes every read through the decoder instead
-    /// of the view (both settings are observationally identical;
-    /// differential tests compare them).
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-    }
-
     /// Writes a data word: encoder → faulty array (+ side array).
     ///
     /// # Panics
@@ -518,20 +490,16 @@ impl<C: EmtCodec> ProtectedMemory<C> {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn read_decoded(&mut self, addr: usize) -> Decoded {
-        let decoded = if self.fast_path {
-            let outcome = if bit(&self.corrected, addr) {
-                DecodeOutcome::Corrected
-            } else if bit(&self.uncorrectable, addr) {
-                DecodeOutcome::DetectedUncorrectable
-            } else {
-                DecodeOutcome::Clean
-            };
-            Decoded {
-                word: self.view[addr],
-                outcome,
-            }
+        let outcome = if bit(&self.corrected, addr) {
+            DecodeOutcome::Corrected
+        } else if bit(&self.uncorrectable, addr) {
+            DecodeOutcome::DetectedUncorrectable
         } else {
-            self.codec.decode(self.data.read(addr), self.side[addr])
+            DecodeOutcome::Clean
+        };
+        let decoded = Decoded {
+            word: self.view[addr],
+            outcome,
         };
         self.stats.reads += 1;
         match decoded.outcome {
@@ -594,22 +562,9 @@ impl<C: EmtCodec> ProtectedMemory<C> {
             .expect("block end overflows usize");
         assert!(end <= self.words(), "block read out of range");
         self.stats.reads += out.len() as u64;
-        if self.fast_path {
-            out.copy_from_slice(&self.view[base..end]);
-            self.stats.corrected_reads += count_bits(&self.corrected, base, end);
-            self.stats.uncorrectable_reads += count_bits(&self.uncorrectable, base, end);
-            return;
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            let addr = base + i;
-            let decoded = self.codec.decode(self.data.read(addr), self.side[addr]);
-            match decoded.outcome {
-                DecodeOutcome::Corrected => self.stats.corrected_reads += 1,
-                DecodeOutcome::DetectedUncorrectable => self.stats.uncorrectable_reads += 1,
-                DecodeOutcome::Clean => {}
-            }
-            *slot = decoded.word;
-        }
+        out.copy_from_slice(&self.view[base..end]);
+        self.stats.corrected_reads += count_bits(&self.corrected, base, end);
+        self.stats.uncorrectable_reads += count_bits(&self.uncorrectable, base, end);
     }
 
     /// Prices the accumulated statistics with `bundle` at supply `data_v`
@@ -776,19 +731,24 @@ mod tests {
         mem.read_block(60, &mut buf);
     }
 
+    /// The reference decoder a view read must equal: the codec run on
+    /// the faulty read-back and the side word of `addr`.
+    fn oracle(mem: &ProtectedMemory, addr: usize) -> Decoded {
+        mem.codec()
+            .decode(mem.data_array().read(addr), mem.side_word(addr))
+    }
+
     #[test]
-    fn uninitialized_reads_identical_with_and_without_fast_path() {
+    fn uninitialized_reads_match_the_decoder() {
         // Reading a never-written word decodes the zeroed arrays — for
         // DREAM that is a *Corrected* non-zero word (side word 0 means
         // "run of 1, positive"), which the view must reproduce exactly.
         for kind in EmtKind::all() {
-            let run = |fast: bool| {
-                let mut mem = ProtectedMemory::new(kind, geometry());
-                mem.set_fast_path(fast);
-                let decoded: Vec<_> = (0..8).map(|a| mem.read_decoded(a)).collect();
-                (decoded, mem.stats())
-            };
-            assert_eq!(run(true), run(false), "{kind}");
+            let mut mem = ProtectedMemory::new(kind, geometry());
+            for a in 0..8 {
+                let want = oracle(&mem, a);
+                assert_eq!(mem.read_decoded(a), want, "{kind} word {a}");
+            }
         }
     }
 
@@ -799,17 +759,15 @@ mod tests {
         // decoder exactly.
         let map = FaultMap::generate(64, 22, 0.05, 23);
         for kind in EmtKind::paper_set() {
-            let run = |fast: bool| {
-                let mut mem = ProtectedMemory::with_fault_map(kind, geometry(), &map);
-                mem.set_fast_path(fast);
-                for i in 0..64 {
-                    mem.write(i, (i as i16) * 411 - 13_000);
-                }
-                mem.set_scrambler(dream_mem::AddressScrambler::new(64, 0xC0FFEE));
-                let reads: Vec<_> = (0..64).map(|a| mem.read_decoded(a)).collect();
-                (reads, mem.stats())
-            };
-            assert_eq!(run(true), run(false), "{kind}");
+            let mut mem = ProtectedMemory::with_fault_map(kind, geometry(), &map);
+            for i in 0..64 {
+                mem.write(i, (i as i16) * 411 - 13_000);
+            }
+            mem.set_scrambler(dream_mem::AddressScrambler::new(64, 0xC0FFEE));
+            for a in 0..64 {
+                let want = oracle(&mem, a);
+                assert_eq!(mem.read_decoded(a), want, "{kind} word {a}");
+            }
         }
     }
 
@@ -876,33 +834,17 @@ mod tests {
                 })
         }
 
-        /// The three memories under comparison: reads from the view, reads
-        /// through the decoder, and a memory freshly constructed at every
-        /// reset instead of re-armed.
-        struct Trio {
-            view: ProtectedMemory,
-            decoder: ProtectedMemory,
-            fresh: ProtectedMemory,
-        }
-
-        impl Trio {
-            fn new(kind: EmtKind, map: &FaultMap) -> Self {
-                let geometry = MemGeometry::new(WORDS, 16, 1);
-                let build = || ProtectedMemory::with_fault_map(kind, geometry, map);
-                let mut decoder = build();
-                decoder.set_fast_path(false);
-                Trio {
-                    view: build(),
-                    decoder,
-                    fresh: build(),
-                }
+        /// The reference decoder of `addr`, and `stats` advanced by one
+        /// read with its outcome.
+        fn oracle_read(mem: &ProtectedMemory, addr: usize, stats: &mut AccessStats) -> Decoded {
+            let d = super::oracle(mem, addr);
+            stats.reads += 1;
+            match d.outcome {
+                DecodeOutcome::Corrected => stats.corrected_reads += 1,
+                DecodeOutcome::DetectedUncorrectable => stats.uncorrectable_reads += 1,
+                DecodeOutcome::Clean => {}
             }
-
-            fn each(&mut self, mut f: impl FnMut(&mut ProtectedMemory)) {
-                f(&mut self.view);
-                f(&mut self.decoder);
-                f(&mut self.fresh);
-            }
+            d
         }
 
         proptest! {
@@ -910,56 +852,65 @@ mod tests {
             /// Random sequences of every mutating and reading operation,
             /// including reads of never-written words and scramblers
             /// installed after writes, read identically (word, outcome and
-            /// statistics) from the view, through the decoder, and from a
-            /// freshly constructed memory, for every EMT.
+            /// statistics) to the reference decoder, and identically from
+            /// a re-armed memory and a freshly constructed one, for every
+            /// EMT.
             #[test]
             fn view_reads_match_the_decoder_and_fresh_memories(
                 ber in 0.0f64..0.3,
                 seed in any::<u64>(),
                 ops in prop::collection::vec(op(), 1..48),
             ) {
+                let geometry = MemGeometry::new(WORDS, 16, 1);
                 for kind in EmtKind::all() {
                     let map = FaultMap::generate(WORDS, 22, ber, seed);
-                    let mut trio = Trio::new(kind, &map);
+                    let mut view = ProtectedMemory::with_fault_map(kind, geometry, &map);
+                    let mut fresh = view.clone();
+                    let mut expected = AccessStats::default();
                     for (step, op) in ops.iter().enumerate() {
-                        let mut reads = Vec::new();
                         match op {
-                            Op::Write(addr, word) => trio.each(|m| m.write(*addr, *word)),
-                            Op::WriteBlock(base, data) => trio.each(|m| m.write_block(*base, data)),
-                            Op::PreloadBlock(base, data) => {
-                                trio.each(|m| m.preload_block(*base, data))
+                            Op::Write(addr, word) => {
+                                view.write(*addr, *word);
+                                fresh.write(*addr, *word);
+                                expected.writes += 1;
                             }
-                            Op::Read(addr) => trio.each(|m| {
-                                let d = m.read_decoded(*addr);
-                                reads.push(vec![(d.word, Some(d.outcome))]);
-                            }),
-                            Op::ReadBlock(base, len) => trio.each(|m| {
-                                let mut out = vec![0i16; *len];
-                                m.read_block(*base, &mut out);
-                                reads.push(out.into_iter().map(|w| (w, None)).collect());
-                            }),
-                            Op::Scramble(key) => trio.each(|m| {
-                                m.set_scrambler(AddressScrambler::new(WORDS, *key))
-                            }),
+                            Op::WriteBlock(base, data) => {
+                                view.write_block(*base, data);
+                                fresh.write_block(*base, data);
+                                expected.writes += data.len() as u64;
+                            }
+                            Op::PreloadBlock(base, data) => {
+                                view.preload_block(*base, data);
+                                fresh.preload_block(*base, data);
+                            }
+                            Op::Read(addr) => {
+                                let want = oracle_read(&view, *addr, &mut expected);
+                                prop_assert_eq!(view.read_decoded(*addr), want, "{} step {} {:?}", kind, step, op);
+                                prop_assert_eq!(fresh.read_decoded(*addr), want, "{} step {} {:?}", kind, step, op);
+                            }
+                            Op::ReadBlock(base, len) => {
+                                let want: Vec<i16> = (*base..base + len)
+                                    .map(|a| oracle_read(&view, a, &mut expected).word)
+                                    .collect();
+                                for mem in [&mut view, &mut fresh] {
+                                    let mut out = vec![0i16; *len];
+                                    mem.read_block(*base, &mut out);
+                                    prop_assert_eq!(&out, &want, "{} step {} {:?}", kind, step, op);
+                                }
+                            }
+                            Op::Scramble(key) => {
+                                view.set_scrambler(AddressScrambler::new(WORDS, *key));
+                                fresh.set_scrambler(AddressScrambler::new(WORDS, *key));
+                            }
                             Op::Reset(ber, seed) => {
                                 let map = FaultMap::generate(WORDS, 22, *ber, *seed);
-                                trio.view.reset_with_fault_map(&map);
-                                trio.decoder.reset_with_fault_map(&map);
-                                trio.decoder.set_fast_path(false);
-                                trio.fresh = ProtectedMemory::with_fault_map(
-                                    kind,
-                                    MemGeometry::new(WORDS, 16, 1),
-                                    &map,
-                                );
+                                view.reset_with_fault_map(&map);
+                                fresh = ProtectedMemory::with_fault_map(kind, geometry, &map);
+                                expected = AccessStats::default();
                             }
                         }
-                        if let [view, decoder, fresh] = &reads[..] {
-                            prop_assert_eq!(view, decoder, "{} step {} {:?}", kind, step, op);
-                            prop_assert_eq!(view, fresh, "{} step {} {:?}", kind, step, op);
-                        }
-                        let stats = trio.view.stats();
-                        prop_assert_eq!(stats, trio.decoder.stats(), "{} step {}", kind, step);
-                        prop_assert_eq!(stats, trio.fresh.stats(), "{} step {}", kind, step);
+                        prop_assert_eq!(view.stats(), expected, "{} step {}", kind, step);
+                        prop_assert_eq!(fresh.stats(), expected, "{} step {}", kind, step);
                     }
                 }
             }

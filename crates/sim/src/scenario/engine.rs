@@ -33,9 +33,8 @@ use crate::campaign::{
     banked_geometry, cap_snr, fault_seed, record_suite_with_noise, reference_outputs_on,
     CleanTrace, EmtMemory, RawTrace,
 };
-use crate::energy_table::{run_energy_table, EnergyConfig, EnergyRow};
+use crate::energy_table::EnergyRow;
 use crate::exec::{self, CancelToken, ExecConfig};
-use crate::fig4::Fig4Point;
 use crate::report::Sink;
 use crate::telemetry;
 use crate::tradeoff::{explore, TradeoffPolicy};
@@ -60,6 +59,27 @@ pub struct InjectionRow {
     pub bit: u32,
     /// Mean output SNR over records × trials (dB).
     pub snr_db: f64,
+}
+
+/// One point of one curve in Fig. 4: one (voltage, EMT, app) cell of a
+/// voltage sweep.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Fig4Point {
+    /// Application under test.
+    pub app: AppKind,
+    /// Protection scheme.
+    pub emt: EmtKind,
+    /// Data-memory supply voltage (V).
+    pub voltage: f64,
+    /// Mean output SNR over the runs (dB, averaged in dB as the paper
+    /// does).
+    pub mean_snr_db: f64,
+    /// Worst run (dB).
+    pub min_snr_db: f64,
+    /// Mean fraction of reads the decoder flagged uncorrectable.
+    pub uncorrectable_rate: f64,
+    /// Mean fraction of reads the decoder corrected.
+    pub corrected_rate: f64,
 }
 
 /// One row of a noise sweep: one (noise scale, EMT, app) cell.
@@ -108,8 +128,8 @@ pub struct AblationRow {
     pub value: String,
 }
 
-/// Typed result payload of a scenario run — the figure modules'
-/// row-typed post-processing (tolerance extraction, curve lookup, policy
+/// Typed result payload of a scenario run — the row-typed
+/// post-processing ([`cs_tolerance`], [`crate::tradeoff::curve`], policy
 /// pricing) consumes these.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OutcomeData {
@@ -189,7 +209,7 @@ impl From<exec::Cancelled> for EngineError {
 
 /// Returns [`EngineError::Cancelled`] once `cancel` has fired — the
 /// coarse-grained check the non-`run_trials` stretches of a campaign
-/// (energy tables, study boundaries) poll between units of work.
+/// (campaign start, ablation study boundaries) poll between units of work.
 fn ensure_live(cancel: Option<&CancelToken>) -> Result<(), EngineError> {
     if cancel.is_some_and(CancelToken::is_cancelled) {
         return Err(EngineError::Cancelled);
@@ -493,6 +513,38 @@ fn run_injection(
         rows: rendered,
         data: OutcomeData::Injection(typed),
     })
+}
+
+/// The §III claim for compressed sensing, read off the unprotected rows
+/// of an injection sweep: the highest bit position whose injected fault
+/// still leaves the output above `threshold_db` (35 dB for multi-lead ECG
+/// reconstruction, 40 dB for single-lead).
+///
+/// Returns `(stuck_at_0_limit, stuck_at_1_limit)`; `None` means even the
+/// LSB violates the threshold.
+pub fn cs_tolerance(rows: &[InjectionRow], threshold_db: f64) -> (Option<u32>, Option<u32>) {
+    let limit = |stuck: StuckAt| {
+        let mut curve: Vec<(u32, f64)> = rows
+            .iter()
+            .filter(|r| {
+                r.app == AppKind::CompressedSensing && r.emt == EmtKind::None && r.stuck == stuck
+            })
+            .map(|r| (r.bit, r.snr_db))
+            .collect();
+        curve.sort_by_key(|&(bit, _)| bit);
+        // The paper's phrasing is a contiguous range "from 0 to N": walk up
+        // from the LSB and stop at the first violating position.
+        let mut best = None;
+        for (bit, snr) in curve {
+            if snr >= threshold_db {
+                best = Some(bit);
+            } else {
+                break;
+            }
+        }
+        best
+    };
+    (limit(StuckAt::Zero), limit(StuckAt::One))
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,13 +1229,71 @@ fn energy_render(r: &EnergyRow) -> Vec<String> {
     ]
 }
 
-fn energy_config(sc: &Scenario, voltages: &[f64]) -> EnergyConfig {
-    EnergyConfig {
-        app: sc.apps[0],
-        window: sc.window,
-        voltages: voltages.to_vec(),
-        emts: sc.emts.clone(),
+/// The §VI-B pricing kernel behind every energy family. Access and cycle
+/// counts do not depend on fault injection or on the supply (the app
+/// executes the same loads and stores either way), so each (SoC config,
+/// EMT) pair is characterized once by a fault-free run of `app` on
+/// record 100, and the energy model prices that run at every voltage.
+///
+/// Returns one batch of rows per (config, voltage) point, config-major,
+/// each with the spec's EMTs in order and priced against the unprotected
+/// run of the same point.
+fn price_runs(
+    sc: &Scenario,
+    app: &dyn BiomedicalApp,
+    configs: &[SocConfig],
+    voltages: &[f64],
+    cfg: ExecConfig,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Vec<EnergyRow>>, EngineError> {
+    let record = dream_ecg::Database::record(100, sc.window);
+    let bundle = dream_core::EnergyModelBundle::date16();
+    let pairs: Vec<(&SocConfig, EmtKind)> = configs
+        .iter()
+        .flat_map(|config| sc.emts.iter().map(move |&emt| (config, emt)))
+        .collect();
+    let runs = exec::run_trials_cancellable(
+        cfg.threads,
+        &pairs,
+        || (),
+        |(), &(config, emt), _| Soc::new(*config, emt, None).run_app(app, &record.samples),
+        cancel,
+    )?;
+    let none = sc
+        .emts
+        .iter()
+        .position(|&e| e == EmtKind::None)
+        .expect("validated: energy sweeps include the unprotected baseline");
+    let mut points = Vec::new();
+    for (config, runs) in configs.iter().zip(runs.chunks(sc.emts.len())) {
+        for &voltage in voltages {
+            let price = |ei: usize| {
+                let run = &runs[ei];
+                bundle.run_energy(
+                    &sc.emts[ei].codec(),
+                    &run.stats,
+                    config.geometry.words(),
+                    voltage,
+                    config.seconds(run.cycles),
+                )
+            };
+            let baseline = price(none);
+            points.push(
+                (0..sc.emts.len())
+                    .map(|ei| {
+                        let energy = price(ei);
+                        EnergyRow {
+                            emt: sc.emts[ei],
+                            voltage,
+                            energy,
+                            overhead_vs_none: energy.overhead_vs(&baseline),
+                        }
+                    })
+                    .collect(),
+            );
+        }
     }
+    Ok(points)
 }
 
 fn run_energy(
@@ -1194,13 +1304,11 @@ fn run_energy(
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     sink.begin(&ENERGY_HEADERS)?;
-    ensure_live(cancel)?;
-    let rows = run_energy_table(&energy_config(sc, voltages), cfg.threads);
-    // Stream one batch per voltage (the table computes in one pass; the
-    // batching keeps sink behaviour uniform across families).
+    let app = sc.apps[0].instantiate(sc.window);
+    let points = price_runs(sc, &*app, &[SocConfig::inyu()], voltages, cfg, cancel)?;
     let mut rendered = Vec::new();
-    for chunk in rows.chunks(sc.emts.len().max(1)) {
-        let batch: Vec<Vec<String>> = chunk.iter().map(energy_render).collect();
+    for point in &points {
+        let batch: Vec<Vec<String>> = point.iter().map(energy_render).collect();
         sink.emit(&batch)?;
         rendered.extend(batch);
     }
@@ -1209,7 +1317,7 @@ fn run_energy(
         scenario: sc.clone(),
         headers: ENERGY_HEADERS.to_vec(),
         rows: rendered,
-        data: OutcomeData::Energy(rows),
+        data: OutcomeData::Energy(points.concat()),
     })
 }
 
@@ -1247,65 +1355,27 @@ fn run_geometry(
         )));
     }
     sink.begin(&headers)?;
-    let record = dream_ecg::Database::record(100, sc.window);
-    let bundle = dream_core::EnergyModelBundle::date16();
-    // One fault-free characterization per (size, EMT) — access counts are
-    // geometry-independent but cycle counts are not priced per word, so
-    // each size re-runs to stay honest about the platform model.
-    struct Price {
-        point: usize,
-        emt: usize,
-    }
-    let trials: Vec<Price> = (0..words.len())
-        .flat_map(|point| (0..sc.emts.len()).map(move |emt| Price { point, emt }))
+    // Access counts are geometry-independent but cycle counts are not
+    // priced per word, so each size re-runs to stay honest about the
+    // platform model.
+    let configs: Vec<SocConfig> = words
+        .iter()
+        .map(|&w| SocConfig {
+            geometry: MemGeometry::new(w, 16, 16),
+            ..SocConfig::inyu()
+        })
         .collect();
-    let runs = exec::run_trials_cancellable(
-        cfg.threads,
-        &trials,
-        || (),
-        |(), t, _| {
-            let geometry = MemGeometry::new(words[t.point], 16, 16);
-            let config = SocConfig {
-                geometry,
-                ..SocConfig::inyu()
-            };
-            let mut soc = Soc::new(config, sc.emts[t.emt], None);
-            soc.run_app(&*app, &record.samples)
-        },
-        cancel,
-    )?;
+    let points = price_runs(sc, &*app, &configs, &[sc.fixed_voltage], cfg, cancel)?;
     let mut typed = Vec::new();
     let mut rendered = Vec::new();
-    for (pi, &w) in words.iter().enumerate() {
-        let run_of = |ei: usize| &runs[pi * sc.emts.len() + ei];
-        let price = |ei: usize| {
-            let run = run_of(ei);
-            let config = SocConfig {
-                geometry: MemGeometry::new(w, 16, 16),
-                ..SocConfig::inyu()
-            };
-            bundle.run_energy(
-                &sc.emts[ei].codec(),
-                &run.stats,
-                w,
-                sc.fixed_voltage,
-                config.seconds(run.cycles),
-            )
-        };
-        let none_idx = sc
-            .emts
-            .iter()
-            .position(|&e| e == EmtKind::None)
-            .expect("validated: energy sweeps include the unprotected baseline");
-        let baseline = price(none_idx);
+    for (&w, point) in words.iter().zip(&points) {
         let mut batch = Vec::new();
-        for (ei, &emt) in sc.emts.iter().enumerate() {
-            let energy = price(ei);
+        for r in point {
             let row = GeometryEnergyRow {
                 words: w,
-                emt,
-                energy,
-                overhead_vs_none: energy.overhead_vs(&baseline),
+                emt: r.emt,
+                energy: r.energy,
+                overhead_vs_none: r.overhead_vs_none,
             };
             batch.push(vec![
                 row.words.to_string(),
@@ -1346,8 +1416,8 @@ fn run_tradeoff(
     let headers = vec!["emt", "min_voltage", "savings"];
     sink.begin(&headers)?;
     let points = voltage_points(sc, voltages, |_| Ok(()), cfg, cancel)?;
-    ensure_live(cancel)?;
-    let energy = run_energy_table(&energy_config(sc, voltages), cfg.threads);
+    let app = sc.apps[0].instantiate(sc.window);
+    let energy = price_runs(sc, &*app, &[SocConfig::inyu()], voltages, cfg, cancel)?.concat();
     let tolerance = sc.tolerance_db.unwrap_or(1.0);
     let policies = explore(sc.apps[0], tolerance, &points, &energy);
     let rendered: Vec<Vec<String>> = policies
@@ -1510,18 +1580,11 @@ impl ScenarioOutcome {
         match &self.data {
             OutcomeData::Injection(rows) => {
                 let mut s = format!("{} injection points", rows.len());
-                let fig2: Vec<crate::fig2::Fig2Row> = rows
+                if rows
                     .iter()
-                    .filter(|r| r.emt == EmtKind::None)
-                    .map(|r| crate::fig2::Fig2Row {
-                        app: r.app,
-                        stuck: r.stuck,
-                        bit: r.bit,
-                        snr_db: r.snr_db,
-                    })
-                    .collect();
-                if fig2.iter().any(|r| r.app == AppKind::CompressedSensing) {
-                    let (sa0, sa1) = crate::fig2::cs_tolerance(&fig2, 35.0);
+                    .any(|r| r.app == AppKind::CompressedSensing && r.emt == EmtKind::None)
+                {
+                    let (sa0, sa1) = cs_tolerance(rows, 35.0);
                     s.push_str(&format!(
                         "; CS tolerates sa0 to bit {}, sa1 to bit {} at 35 dB (paper: 10, 12)",
                         sa0.map_or("-".into(), |b| b.to_string()),
@@ -1760,5 +1823,170 @@ mod tests {
         // Different logical mappings almost surely shift the outcome at a
         // faulty voltage; equality would mean the knob is dead.
         assert_ne!(plain.rows, scrambled.rows);
+    }
+
+    fn fig2_small(apps: Vec<AppKind>) -> Vec<InjectionRow> {
+        let sc = Scenario {
+            window: 512,
+            records: 2,
+            trials: 4,
+            apps,
+            ..registry::get("fig2", false).unwrap()
+        };
+        match run(&sc).unwrap().data {
+            OutcomeData::Injection(rows) => rows,
+            other => panic!("injection rows expected, got {other:?}"),
+        }
+    }
+
+    fn snr_at(rows: &[InjectionRow], stuck: StuckAt, bit: u32) -> f64 {
+        rows.iter()
+            .find(|r| r.stuck == stuck && r.bit == bit)
+            .unwrap()
+            .snr_db
+    }
+
+    #[test]
+    fn msb_errors_hurt_more_than_lsb() {
+        // The headline finding of §III: SNR decreases monotonically-ish as
+        // the stuck bit moves toward the MSB.
+        let rows = fig2_small(vec![AppKind::Dwt]);
+        assert_eq!(rows.len(), 2 * 16, "one row per polarity and bit");
+        for stuck in [StuckAt::Zero, StuckAt::One] {
+            let (lsb, msb) = (snr_at(&rows, stuck, 1), snr_at(&rows, stuck, 14));
+            assert!(lsb > msb + 20.0, "{stuck:?}: LSB {lsb} vs MSB {msb}");
+        }
+    }
+
+    #[test]
+    fn stuck_at_one_msb_is_milder_for_cs() {
+        // §III: mostly-negative samples hide stuck-at-1 MSB faults.
+        let rows = fig2_small(vec![AppKind::CompressedSensing]);
+        for bit in [13u32, 14, 15] {
+            let (sa1, sa0) = (
+                snr_at(&rows, StuckAt::One, bit),
+                snr_at(&rows, StuckAt::Zero, bit),
+            );
+            assert!(sa1 > sa0, "bit {bit}: sa1 {sa1} should beat sa0 {sa0}");
+        }
+    }
+
+    #[test]
+    fn cs_tolerance_reads_the_unprotected_cs_rows() {
+        let mk = |emt: EmtKind, stuck: StuckAt, bit: u32, snr_db: f64| InjectionRow {
+            app: AppKind::CompressedSensing,
+            emt,
+            stuck,
+            bit,
+            snr_db,
+        };
+        let mut rows: Vec<InjectionRow> = (0..16)
+            .map(|b| {
+                mk(
+                    EmtKind::None,
+                    StuckAt::Zero,
+                    b,
+                    if b <= 10 { 50.0 } else { 20.0 },
+                )
+            })
+            .chain((0..16).map(|b| {
+                mk(
+                    EmtKind::None,
+                    StuckAt::One,
+                    b,
+                    if b <= 12 { 50.0 } else { 20.0 },
+                )
+            }))
+            .collect();
+        // Protected rows of a mixed-EMT sweep do not move the thresholds.
+        rows.extend((0..16).map(|b| mk(EmtKind::Dream, StuckAt::Zero, b, 50.0)));
+        assert_eq!(cs_tolerance(&rows, 35.0), (Some(10), Some(12)));
+    }
+
+    fn tiny_fig4() -> Vec<Fig4Point> {
+        let sc = Scenario {
+            window: 512,
+            trials: 4,
+            apps: vec![AppKind::Dwt],
+            grid: Grid::Voltage(vec![0.5, 0.7, 0.9]),
+            seed: 11,
+            ..registry::get("fig4", false).unwrap()
+        };
+        match run(&sc).unwrap().data {
+            OutcomeData::Fig4(points) => points,
+            other => panic!("Fig. 4 points expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn voltage_sweep_degrades_unprotected_and_protection_helps() {
+        use crate::tradeoff::curve;
+        let points = tiny_fig4();
+        assert_eq!(points.len(), 3 * 3, "one point per voltage and EMT");
+        let none = curve(&points, AppKind::Dwt, EmtKind::None);
+        let snrs: Vec<f64> = none.iter().map(|p| p.mean_snr_db).collect();
+        assert!(
+            snrs[0] < snrs[2],
+            "0.5 V should be worse than 0.9 V: {snrs:?}"
+        );
+        // At 0.7 V both protections should beat no protection.
+        for emt in [EmtKind::Dream, EmtKind::EccSecDed] {
+            let c = curve(&points, AppKind::Dwt, emt);
+            assert!(c[1].mean_snr_db >= none[1].mean_snr_db, "{emt} at 0.7 V");
+        }
+    }
+
+    fn small_energy() -> Vec<EnergyRow> {
+        let sc = Scenario {
+            window: 512,
+            grid: Grid::Voltage(vec![0.5, 0.7, 0.9]),
+            ..registry::get("energy", false).unwrap()
+        };
+        match run(&sc).unwrap().data {
+            OutcomeData::Energy(rows) => rows,
+            other => panic!("energy rows expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dream_cheaper_than_ecc_on_average() {
+        // The paper's headline: DREAM's overhead (≈34 %) undercuts ECC's
+        // (≈55 %) by ~21 points.
+        let rows = small_energy();
+        let dream = crate::energy_table::average_overhead(&rows, EmtKind::Dream);
+        let ecc = crate::energy_table::average_overhead(&rows, EmtKind::EccSecDed);
+        assert!(dream < ecc, "DREAM {dream:.2} vs ECC {ecc:.2}");
+        assert!(
+            (0.10..0.40).contains(&(ecc - dream)),
+            "gap {:.2} should be in the paper's ballpark (~0.21)",
+            ecc - dream
+        );
+    }
+
+    #[test]
+    fn energy_rows_price_none_at_zero_overhead_and_fall_with_voltage() {
+        let rows = small_energy();
+        for r in rows.iter().filter(|r| r.emt == EmtKind::None) {
+            assert!(r.overhead_vs_none.abs() < 1e-12);
+        }
+        for emt in EmtKind::paper_set() {
+            let es: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.emt == emt)
+                .map(|r| r.energy.total_pj())
+                .collect();
+            assert!(es.windows(2).all(|w| w[0] < w[1]), "{emt}: {es:?}");
+        }
+    }
+
+    #[test]
+    fn pricing_kernel_stops_on_a_fired_token() {
+        let sc = registry::get("energy", true).unwrap();
+        let app = sc.apps[0].instantiate(sc.window);
+        let token = CancelToken::new();
+        token.cancel();
+        let cfg = ExecConfig::from_env();
+        let result = price_runs(&sc, &*app, &[SocConfig::inyu()], &[0.9], cfg, Some(&token));
+        assert!(matches!(result, Err(EngineError::Cancelled)));
     }
 }

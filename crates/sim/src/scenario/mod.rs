@@ -23,12 +23,11 @@
 //! * [`shard`] — [`ShardPlan`], the one partition of a campaign into
 //!   contiguous grid units, behind sharded fan-out and resume alike.
 //!
-//! The historical figure modules ([`crate::fig2`], [`crate::fig4`],
-//! [`crate::energy_table`], [`crate::tradeoff`], [`crate::ablation`]) are
-//! thin preset constructors and row-typed post-processing over a shared
-//! [`ScenarioOutcome`]; their numeric output is byte-identical to the
-//! pre-engine runners at any thread count (pinned by
-//! `tests/scenario_golden.rs`).
+//! The post-processing modules ([`crate::energy_table`],
+//! [`crate::tradeoff`], [`crate::ablation`]) consume the typed rows of a
+//! [`ScenarioOutcome`]; the paper presets' numeric output is
+//! byte-identical to the pre-engine runners at any thread count (pinned
+//! by `tests/scenario_golden.rs`).
 //!
 //! # Example
 //!
@@ -52,8 +51,8 @@ pub mod shard;
 pub mod spec;
 
 pub use engine::{
-    AblationRow, EngineError, GeometryEnergyRow, InjectionRow, NoisePoint, OutcomeData,
-    ScenarioOutcome,
+    cs_tolerance, AblationRow, EngineError, Fig4Point, GeometryEnergyRow, InjectionRow, NoisePoint,
+    OutcomeData, ScenarioOutcome,
 };
 pub use runner::{CampaignRunner, Progress};
 pub use shard::{Shard, ShardPlan};

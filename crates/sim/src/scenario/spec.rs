@@ -547,9 +547,9 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// One flattened trial descriptor — the unit of work the engine hands to
-/// [`crate::exec::run_trials`]. Compiling a spec to this list is pure, so
-/// round-tripping a scenario through JSON must reproduce it exactly.
+/// One flattened trial descriptor: the unit a campaign's trial count is
+/// measured in. Compiling a spec to this list is pure, so round-tripping
+/// a scenario through JSON must reproduce it exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlatTrial {
     /// One single-cell stuck-at injection run (bit-position grids).
@@ -755,9 +755,14 @@ impl Scenario {
         self.records.min(dream_ecg::Database::SUITE_SIZE)
     }
 
-    /// Compiles the spec to its flattened trial descriptors, in execution
-    /// order. This is the engine's exact work list: `flatten().len()`
-    /// trials run through [`crate::exec::run_trials`].
+    /// Compiles the spec to its flattened trial descriptors. Their count
+    /// is the trial count behind [`Progress::trials_total`] and the
+    /// campaign service's `trials_executed`. It is not the engine's work
+    /// list: draw points run as lane groups through
+    /// [`crate::exec::stream_trials`], and an ablation counts only its
+    /// dominant studies.
+    ///
+    /// [`Progress::trials_total`]: super::Progress::trials_total
     pub fn flatten(&self) -> Vec<FlatTrial> {
         let records = self.effective_records();
         let mut trials = Vec::new();

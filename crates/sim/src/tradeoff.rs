@@ -1,14 +1,25 @@
 //! Experiment E7: the §VI-C quality-vs-energy trade-off exploration.
 //!
-//! Pure row-typed post-processing: [`explore`] and [`mixed_policy`]
-//! consume the Fig. 4 points and energy rows the scenario engine
+//! Pure row-typed post-processing: [`curve`], [`explore`] and
+//! [`mixed_policy`] consume the Fig. 4 points and energy rows the scenario engine
 //! produces (`dream run tradeoff` wires them together).
 
 use dream_core::EmtKind;
 use dream_dsp::AppKind;
 
 use crate::energy_table::EnergyRow;
-use crate::fig4::{curve, Fig4Point};
+use crate::scenario::Fig4Point;
+
+/// Looks up the curve of one (app, EMT) pair, sorted by voltage ascending.
+pub fn curve(points: &[Fig4Point], app: AppKind, emt: EmtKind) -> Vec<Fig4Point> {
+    let mut c: Vec<Fig4Point> = points
+        .iter()
+        .filter(|p| p.app == app && p.emt == emt)
+        .copied()
+        .collect();
+    c.sort_by(|a, b| a.voltage.partial_cmp(&b.voltage).expect("finite voltages"));
+    c
+}
 
 /// Energy of the 0.9 V unprotected baseline every §VI-C saving is priced
 /// against (pJ) — shared by [`explore`] and [`mixed_policy`], which used
@@ -225,6 +236,16 @@ mod tests {
             energy.push(energy_row(EmtKind::EccSecDed, v, 155.0 * v2));
         }
         (fig4, energy)
+    }
+
+    #[test]
+    fn curve_selects_one_pair_sorted_by_voltage() {
+        let (mut fig4, _) = synthetic_inputs();
+        fig4.reverse();
+        let c = curve(&fig4, AppKind::Dwt, EmtKind::Dream);
+        assert_eq!(c.len(), 9);
+        assert!(c.iter().all(|p| p.emt == EmtKind::Dream));
+        assert!(c.windows(2).all(|w| w[0].voltage < w[1].voltage));
     }
 
     #[test]

@@ -9,10 +9,9 @@
 
 use dream_suite::core::EmtKind;
 use dream_suite::dsp::AppKind;
-use dream_suite::sim::energy_table::{run_energy_table, EnergyConfig};
-use dream_suite::sim::exec::ExecConfig;
-use dream_suite::sim::fig4::{curve, run_fig4, Fig4Config};
 use dream_suite::sim::report;
+use dream_suite::sim::scenario::{registry, CampaignRunner, OutcomeData, Scenario};
+use dream_suite::sim::tradeoff::{curve, mixed_policy};
 
 fn parse_app(name: &str) -> AppKind {
     match name {
@@ -25,7 +24,7 @@ fn parse_app(name: &str) -> AppKind {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut app = AppKind::Dwt;
     let mut runs = 20usize;
@@ -46,32 +45,33 @@ fn main() {
     let window = 1024;
     eprintln!("exploring {app} over 0.5-0.9 V ({runs} fault maps per point)…");
 
-    let points = run_fig4(&Fig4Config {
+    let run = |sc: Scenario| CampaignRunner::new(sc).run_discarding().map(|o| o.data);
+    let OutcomeData::Fig4(points) = run(Scenario {
         window,
-        runs,
+        trials: runs,
         apps: vec![app],
-        ..Default::default()
-    });
-    let energy = run_energy_table(
-        &EnergyConfig {
-            app,
-            window,
-            ..Default::default()
-        },
-        ExecConfig::from_env().threads,
-    );
+        ..registry::get("fig4", false)?
+    })?
+    else {
+        unreachable!("voltage SNR sweeps yield Fig. 4 points")
+    };
+    let OutcomeData::Energy(energy) = run(Scenario {
+        window,
+        apps: vec![app],
+        ..registry::get("energy", false)?
+    })?
+    else {
+        unreachable!("voltage energy sweeps yield energy rows")
+    };
 
-    let emts = EmtKind::paper_set();
+    // "Usable" = within 1 dB of each EMT's own nominal ceiling.
+    let bands = mixed_policy(app, 1.0, &points, &energy);
     let mut table = Vec::new();
-    let voltages: Vec<f64> = curve(&points, app, EmtKind::None)
-        .iter()
-        .map(|p| p.voltage)
-        .collect();
-    for &v in voltages.iter().rev() {
+    for band in bands.iter().rev() {
+        let v = band.voltage;
         let mut row = vec![format!("{v:.2}")];
         // Quality and energy per EMT at this voltage.
-        let mut best: Option<(EmtKind, f64)> = None;
-        for emt in emts {
+        for emt in EmtKind::paper_set() {
             let p = curve(&points, app, emt)
                 .into_iter()
                 .find(|p| (p.voltage - v).abs() < 1e-9)
@@ -85,19 +85,15 @@ fn main() {
                 report::snr(p.mean_snr_db),
                 e.energy.total_nj()
             ));
-            // "Usable" = within 1 dB of this EMT's own nominal ceiling.
-            let ceiling = curve(&points, app, emt).last().expect("grid").mean_snr_db;
-            if p.mean_snr_db >= ceiling - 1.0 {
-                let total = e.energy.total_pj();
-                if best.is_none_or(|(_, b)| total < b) {
-                    best = Some((emt, total));
-                }
-            }
         }
-        row.push(best.map_or("none usable".into(), |(emt, _)| emt.to_string()));
+        row.push(
+            band.best_emt
+                .map_or("none usable".into(), |emt| emt.to_string()),
+        );
         table.push(row);
     }
     let headers = ["V", "no protection", "DREAM", "ECC SEC/DED", "recommended"];
     println!("\n{app}: mean SNR / energy per run, and the cheapest EMT still within -1 dB");
     println!("{}", report::format_table(&headers, &table));
+    Ok(())
 }

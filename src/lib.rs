@@ -14,7 +14,7 @@
 //! | [`energy`] | `dream-energy` | CACTI-like energy/area models |
 //! | [`dsp`] | `dream-dsp` | the five biomedical applications + SNR metric |
 //! | [`soc`] | `dream-soc` | cycle-approximate MPSoC (VirtualSOC stand-in) |
-//! | [`sim`] | `dream-sim` | the per-figure/table experiment drivers |
+//! | [`sim`] | `dream-sim` | the scenario engine behind every figure and table |
 //! | [`serve`] | `dream-serve` | the campaign service (HTTP API + artifact store) |
 //!
 //! # Quickstart

@@ -175,9 +175,9 @@ fn facade_reexports_are_complete() {
     // soc — the INYU platform preset.
     let config = dream_suite::soc::SocConfig::inyu();
     assert_eq!(config.geometry.banks(), 16);
-    // sim — the experiment drivers' configuration types.
-    let fig2 = dream_suite::sim::fig2::Fig2Config::default();
+    // sim — the scenario registry every campaign starts from.
+    let fig2 = dream_suite::sim::scenario::registry::get("fig2", false).expect("preset exists");
     assert_eq!(fig2.window, 1024);
-    let energy_cfg = dream_suite::sim::energy_table::EnergyConfig::default();
-    assert!(!energy_cfg.voltages.is_empty());
+    let energy = dream_suite::sim::scenario::registry::get("energy", false).expect("preset");
+    assert!(!energy.grid.is_empty());
 }

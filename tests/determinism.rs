@@ -9,30 +9,29 @@ use dream_suite::dsp::AppKind;
 use dream_suite::sim::campaign::fault_seed;
 use dream_suite::sim::exec;
 use dream_suite::sim::exec::CancelToken;
-use dream_suite::sim::fig2::Fig2Config;
-use dream_suite::sim::fig4::Fig4Config;
 use dream_suite::sim::report::{JsonlSink, Sink};
 use dream_suite::sim::scenario::{
     registry, CampaignRunner, Grid, OutcomeData, Scenario, ShardPlan,
 };
 use proptest::prelude::*;
 
-fn fig2_cfg() -> Fig2Config {
-    Fig2Config {
+fn fig2_spec() -> Scenario {
+    Scenario {
         window: 512,
         records: 2,
+        trials: 2,
         apps: vec![AppKind::Dwt, AppKind::CompressedSensing],
-        fault_trials: 2,
+        ..registry::get("fig2", false).expect("preset exists")
     }
 }
 
-fn fig4_cfg() -> Fig4Config {
-    Fig4Config {
+fn fig4_spec() -> Scenario {
+    Scenario {
         window: 512,
-        runs: 5,
-        voltages: vec![0.5, 0.7, 0.9],
+        trials: 5,
+        grid: Grid::Voltage(vec![0.5, 0.7, 0.9]),
         apps: vec![AppKind::Dwt],
-        ..Default::default()
+        ..registry::get("fig4", false).expect("preset exists")
     }
 }
 
@@ -49,7 +48,7 @@ fn outcome_at(sc: &Scenario, threads: usize) -> OutcomeData {
 /// approximate).
 #[test]
 fn fig2_rows_identical_serial_vs_parallel() {
-    let sc = fig2_cfg().to_scenario();
+    let sc = fig2_spec();
     let rows = |threads| match outcome_at(&sc, threads) {
         OutcomeData::Injection(rows) => rows,
         other => panic!("injection rows expected, got {other:?}"),
@@ -77,7 +76,7 @@ fn fig2_rows_identical_serial_vs_parallel() {
 /// fields that fold over runs.
 #[test]
 fn fig4_points_identical_serial_vs_parallel() {
-    let sc = fig4_cfg().to_scenario();
+    let sc = fig4_spec();
     let points = |threads| match outcome_at(&sc, threads) {
         OutcomeData::Fig4(points) => points,
         other => panic!("Fig. 4 points expected, got {other:?}"),
@@ -104,7 +103,7 @@ fn fig4_points_identical_serial_vs_parallel() {
 /// byte-identical JSONL, with no lock serializing them.
 #[test]
 fn concurrent_campaigns_keep_their_own_settings() {
-    for sc in [fig2_cfg().to_scenario(), fig4_cfg().to_scenario()] {
+    for sc in [fig2_spec(), fig4_spec()] {
         let jsonl = |runner: CampaignRunner| {
             let mut sink = JsonlSink::new(Vec::new());
             runner.run(&mut sink).expect("campaign runs");

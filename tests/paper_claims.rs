@@ -7,21 +7,47 @@ use dream_suite::core::{Dream, EmtCodec, EmtKind};
 use dream_suite::dsp::AppKind;
 use dream_suite::ecg::Database;
 use dream_suite::mem::{BerModel, StuckAt};
-use dream_suite::sim::energy_table::{
-    area_table, average_overhead, ecc_vs_dream_area, run_energy_table, EnergyConfig,
+use dream_suite::sim::energy_table::{area_table, average_overhead, ecc_vs_dream_area, EnergyRow};
+use dream_suite::sim::scenario::{
+    cs_tolerance, registry, CampaignRunner, Fig4Point, InjectionRow, OutcomeData, Scenario,
 };
-use dream_suite::sim::exec::ExecConfig;
-use dream_suite::sim::fig2::{cs_tolerance, run_fig2, Fig2Config};
-use dream_suite::sim::fig4::{curve, run_fig4, Fig4Config};
-use dream_suite::sim::tradeoff::explore;
+use dream_suite::sim::tradeoff::{curve, explore};
 
-fn fig4_small(apps: Vec<AppKind>, runs: usize) -> Vec<dream_suite::sim::fig4::Fig4Point> {
-    run_fig4(&Fig4Config {
+fn run(sc: Scenario) -> OutcomeData {
+    CampaignRunner::new(sc)
+        .run_discarding()
+        .expect("campaign runs")
+        .data
+}
+
+fn preset(name: &str) -> Scenario {
+    registry::get(name, false).expect("preset exists")
+}
+
+fn fig2(sc: Scenario) -> Vec<InjectionRow> {
+    match run(sc) {
+        OutcomeData::Injection(rows) => rows,
+        other => panic!("injection rows expected, got {other:?}"),
+    }
+}
+
+fn fig4_small(apps: Vec<AppKind>, trials: usize) -> Vec<Fig4Point> {
+    match run(Scenario {
         window: 512,
-        runs,
+        trials,
         apps,
-        ..Default::default()
-    })
+        ..preset("fig4")
+    }) {
+        OutcomeData::Fig4(points) => points,
+        other => panic!("Fig. 4 points expected, got {other:?}"),
+    }
+}
+
+fn energy(sc: Scenario) -> Vec<EnergyRow> {
+    match run(sc) {
+        OutcomeData::Energy(rows) => rows,
+        other => panic!("energy rows expected, got {other:?}"),
+    }
 }
 
 /// §I / §VI-B: "DREAM consumes 21% less energy than a traditional ECC with
@@ -29,7 +55,7 @@ fn fig4_small(apps: Vec<AppKind>, runs: usize) -> Vec<dream_suite::sim::fig4::Fi
 /// ≈ +34 %, gap ≈ 21 points.
 #[test]
 fn claim_energy_overheads() {
-    let rows = run_energy_table(&EnergyConfig::default(), ExecConfig::from_env().threads);
+    let rows = energy(preset("energy"));
     let dream = average_overhead(&rows, EmtKind::Dream);
     let ecc = average_overhead(&rows, EmtKind::EccSecDed);
     assert!((0.25..0.45).contains(&dream), "DREAM overhead {dream:.3}");
@@ -64,11 +90,12 @@ fn claim_formula_2_bits() {
 /// shifted towards the MSB positions" — monotone trend over bit triplets.
 #[test]
 fn claim_fig2_msb_trend() {
-    let rows = run_fig2(&Fig2Config {
+    let rows = fig2(Scenario {
         window: 512,
         records: 4,
+        trials: 4,
         apps: vec![AppKind::Dwt, AppKind::MorphologicalFilter],
-        fault_trials: 4,
+        ..preset("fig2")
     });
     for app in [AppKind::Dwt, AppKind::MorphologicalFilter] {
         for stuck in [StuckAt::Zero, StuckAt::One] {
@@ -102,11 +129,9 @@ fn claim_cs_tolerance_thresholds() {
     // Full campaign scale for this claim: at fewer records/trials the CS
     // curve sits within 0.1 dB of the 35 dB threshold around bit 13 and the
     // extracted tolerance flips on averaging noise.
-    let rows = run_fig2(&Fig2Config {
-        window: 1024,
-        records: 10,
+    let rows = fig2(Scenario {
         apps: vec![AppKind::CompressedSensing],
-        fault_trials: 8,
+        ..preset("fig2")
     });
     let (sa0, sa1) = cs_tolerance(&rows, 35.0);
     let sa0 = sa0.expect("some tolerance for stuck-at-0");
@@ -130,7 +155,7 @@ fn claim_fig4_crossover() {
     let points = fig4_small(vec![AppKind::Dwt], 12);
     let dream = curve(&points, AppKind::Dwt, EmtKind::Dream);
     let ecc = curve(&points, AppKind::Dwt, EmtKind::EccSecDed);
-    let at = |c: &[dream_suite::sim::fig4::Fig4Point], v: f64| {
+    let at = |c: &[Fig4Point], v: f64| {
         c.iter()
             .find(|p| (p.voltage - v).abs() < 1e-9)
             .unwrap()
@@ -164,13 +189,10 @@ fn claim_fig4_crossover() {
 #[test]
 fn claim_tradeoff_regimes() {
     let points = fig4_small(vec![AppKind::Dwt], 12);
-    let energy = run_energy_table(
-        &EnergyConfig {
-            window: 512,
-            ..Default::default()
-        },
-        ExecConfig::from_env().threads,
-    );
+    let energy = energy(Scenario {
+        window: 512,
+        ..preset("energy")
+    });
     let policies = explore(AppKind::Dwt, 1.0, &points, &energy);
     let min_v = |emt: EmtKind| {
         policies
