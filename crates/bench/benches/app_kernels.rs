@@ -65,8 +65,8 @@ fn bench_dwt_tap_pass(c: &mut Criterion) {
 }
 
 fn bench_morpho_sliding_extreme(c: &mut Criterion) {
-    // Eight sliding extremes per run over the monotonic wedge, including
-    // the long 0.2 s/0.3 s baseline structuring elements.
+    // Eight sliding extremes per run (van Herk/Gil-Werman block scans),
+    // including the long 0.2 s/0.3 s baseline structuring elements.
     let app = MorphologicalFilter::new(1024, 360.0);
     let input = q15_vector(1024, 5);
     let mut mem = VecStorage::new(app.memory_words());

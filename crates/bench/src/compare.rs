@@ -198,4 +198,56 @@ mod tests {
         assert!(parse_rows("a,b\n1,2,3\n").is_err());
         assert!(parse_rows("{\"a\":1}\n{\"b\":2}\n").is_err());
     }
+
+    mod parse_props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Artifact-shaped text: arbitrary bytes (lossily decoded), or a
+        /// JSONL or CSV artifact with bytes spliced into it.
+        fn artifact() -> impl Strategy<Value = String> {
+            (
+                0u8..3,
+                prop::collection::vec(any::<u8>(), 0..200),
+                any::<usize>(),
+            )
+                .prop_map(|(shape, noise, at)| {
+                    let mut raw = match shape {
+                        0 => Vec::new(),
+                        1 => {
+                            b"{\"app\":\"dwt\",\"snr_db\":35.0}\n{\"app\":\"cs\",\"snr_db\":1e3}\n"
+                                .to_vec()
+                        }
+                        _ => b"app,bit,snr_db\ndwt,0,35.000\n".to_vec(),
+                    };
+                    let at = at % (raw.len() + 1);
+                    raw.splice(at..at, noise);
+                    String::from_utf8_lossy(&raw).into_owned()
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// Arbitrary text never panics `parse_rows`. It is an error,
+            /// or a rectangular row set: every row has one cell per
+            /// column, and a JSONL-looking artifact (first line opening
+            /// with `{`) parsed every line as an object.
+            #[test]
+            fn arbitrary_text_never_panics_parse_rows(text in artifact()) {
+                if let Ok(set) = parse_rows(&text) {
+                    prop_assert!(!set.columns.is_empty() || set.rows.is_empty(), "{:?}", set);
+                    for row in &set.rows {
+                        prop_assert_eq!(row.len(), set.columns.len(), "{:?}", set);
+                    }
+                    let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+                    let jsonl = text
+                        .lines()
+                        .find(|l| !l.trim().is_empty())
+                        .is_some_and(|l| l.trim_start().starts_with('{'));
+                    let want = if jsonl { lines } else { lines - 1 };
+                    prop_assert_eq!(set.rows.len(), want, "{:?}", text);
+                }
+            }
+        }
+    }
 }

@@ -11,10 +11,20 @@
 //! Since the coverage sets are fixed by the code, they are precomputed
 //! here (at compile time) as five 21-bit **coverage masks** over the
 //! storage-bit layout. Each parity is then a single
-//! `(word & mask).count_ones() & 1` — one AND plus one popcount
-//! instruction. Encoding evaluates 5 check masks + 1 overall parity
-//! (6 popcounts); decoding re-evaluates the same 5 masks over the read
-//! codeword to form the syndrome, plus the overall parity (6 popcounts).
+//! `(word & mask).count_ones() & 1` — one AND plus a parity reduction.
+//! On the default baseline x86-64 target (no `popcnt`), LLVM lowers that
+//! expression to a short parity sequence rather than a popcount: two XOR
+//! folds of the 32-bit value down to a byte, then `setnp` on the x86
+//! parity flag — five instructions, no branch. Decoding evaluates the 5
+//! masks over the read codeword to form the syndrome, plus the overall
+//! parity (6 parities).
+//!
+//! Encoding goes one step further. The codeword is a linear function of
+//! the data bits (every bit is a data bit or an XOR of data bits), so the
+//! 5 check masks + 1 overall parity are evaluated at compile time for
+//! each value of the low and of the high data byte, and an encode is two
+//! 256-entry table loads XORed together. Encodes run on every write of
+//! the campaigns' scalar path, decodes only where a stuck cell is.
 //! Data bits scatter into / gather out of their Hamming positions with
 //! four shift-AND terms, because consecutive data bits land on
 //! consecutive storage bits between check-bit positions.
@@ -132,6 +142,41 @@ const fn parity_over(word: u32, mask: u32) -> u32 {
     (word & mask).count_ones() & 1
 }
 
+/// The codeword of `data`, evaluated over the coverage masks: the data
+/// bits scattered into place, the five check bits, then the overall
+/// parity over all 21 Hamming positions.
+const fn encode_bits(data: u16) -> u32 {
+    let mut code = scatter_data(data);
+    let mut k = 0;
+    while k < 5 {
+        // The check-bit lanes are still zero, so the mask sees exactly
+        // the covered data bits.
+        code |= parity_over(code, COVERAGE_MASKS[k]) << (PARITY_POSITIONS[k] - 1);
+        k += 1;
+    }
+    code | parity_over(code, HAMMING_MASK) << OVERALL_BIT
+}
+
+/// `table[b]` is the codeword of the data word holding byte `b` at bit
+/// `shift` and zeros elsewhere.
+const fn byte_codewords(shift: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = encode_bits((b as u16) << shift);
+        b += 1;
+    }
+    table
+}
+
+/// Codewords of the low and the high data byte. Every codeword bit is a
+/// parity (an XOR) of data bits, so the code is linear over GF(2) and the
+/// codeword of a word is the XOR of its two bytes' codewords: two loads
+/// and an XOR per encode, where evaluating the masks costs six parity
+/// reductions.
+const LOW_BYTE_CODEWORDS: [u32; 256] = byte_codewords(0);
+const HIGH_BYTE_CODEWORDS: [u32; 256] = byte_codewords(8);
+
 impl EccSecDed {
     /// Creates the codec.
     pub fn new() -> Self {
@@ -177,24 +222,19 @@ impl EmtCodec for EccSecDed {
 
     #[inline]
     fn encode(&self, word: i16) -> Encoded {
-        // Scatter data bits into their Hamming positions, then evaluate
-        // the five check-bit coverage masks (the check-bit lanes are still
-        // zero, so the masks see exactly the covered data bits) plus the
-        // overall parity: 6 popcounts total.
-        let mut code = scatter_data(word as u16);
-        for (k, &mask) in COVERAGE_MASKS.iter().enumerate() {
-            code |= parity_over(code, mask) << (PARITY_POSITIONS[k] - 1);
+        // The byte tables hold `encode_bits` of each byte (see there).
+        let [low, high] = (word as u16).to_le_bytes();
+        Encoded {
+            code: LOW_BYTE_CODEWORDS[usize::from(low)] ^ HIGH_BYTE_CODEWORDS[usize::from(high)],
+            side: 0,
         }
-        // Overall parity over positions 1..=21 (extends SEC to SEC/DED).
-        code |= parity_over(code, HAMMING_MASK) << OVERALL_BIT;
-        Encoded { code, side: 0 }
     }
 
     #[inline]
     fn decode(&self, code: u32, _side: u16) -> Decoded {
         let code = code & ((1u32 << CODE_BITS) - 1);
         // Syndrome bit k = parity of the read bits covered by check 2^k
-        // (check bit included): 5 popcounts, plus 1 for the overall.
+        // (check bit included): 5 parities, plus 1 for the overall.
         let mut syndrome = 0u32;
         for (k, &mask) in COVERAGE_MASKS.iter().enumerate() {
             syndrome |= parity_over(code, mask) << k;

@@ -37,6 +37,11 @@ impl StuckAt {
 /// fault locations for fairness (§V), which callers get by cloning or
 /// sharing one generated map.
 ///
+/// The map also lists the words holding a stuck cell, so clearing it and
+/// copying it into another map cost O(stuck words), not O(words): a
+/// campaign re-arms maps thousands of times, and at scaled voltages only a
+/// sliver of the words is faulty.
+///
 /// ```
 /// use dream_mem::{FaultMap, StuckAt};
 /// let mut map = FaultMap::empty(4, 16);
@@ -44,14 +49,31 @@ impl StuckAt {
 /// assert_eq!(map.apply(2, 0x0000), 0x8000);
 /// assert_eq!(map.apply(1, 0x0000), 0x0000);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct FaultMap {
     words: usize,
     width: u32,
     stuck_mask: Vec<u32>,
     stuck_val: Vec<u32>,
+    /// Every word whose `stuck_mask` is non-zero, once each, in the order
+    /// its first fault arrived.
+    stuck_words: Vec<usize>,
     fault_count: usize,
 }
+
+/// Maps are equal when they stick the same cells at the same values; the
+/// order in which the faults arrived does not matter.
+impl PartialEq for FaultMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+            && self.width == other.width
+            && self.fault_count == other.fault_count
+            && self.stuck_mask == other.stuck_mask
+            && self.stuck_val == other.stuck_val
+    }
+}
+
+impl Eq for FaultMap {}
 
 impl FaultMap {
     /// Creates a fault-free map for `words` words of `width` bits each.
@@ -66,6 +88,7 @@ impl FaultMap {
             width,
             stuck_mask: vec![0; words],
             stuck_val: vec![0; words],
+            stuck_words: Vec::new(),
             fault_count: 0,
         }
     }
@@ -90,9 +113,13 @@ impl FaultMap {
     }
 
     /// Clears every fault, leaving dimensions (and allocations) intact.
+    /// Only the stuck words are touched.
     pub fn clear(&mut self) {
-        self.stuck_mask.fill(0);
-        self.stuck_val.fill(0);
+        for &w in &self.stuck_words {
+            self.stuck_mask[w] = 0;
+            self.stuck_val[w] = 0;
+        }
+        self.stuck_words.clear();
         self.fault_count = 0;
     }
 
@@ -166,6 +193,9 @@ impl FaultMap {
         assert!(word < self.words, "word index out of range");
         assert!(bit < self.width, "bit index out of range");
         let lane = 1u32 << bit;
+        if self.stuck_mask[word] == 0 {
+            self.stuck_words.push(word);
+        }
         if self.stuck_mask[word] & lane == 0 {
             self.fault_count += 1;
         }
@@ -210,6 +240,12 @@ impl FaultMap {
         self.width
     }
 
+    /// The words holding at least one stuck cell, each once, in the order
+    /// their first fault was injected (not necessarily ascending).
+    pub fn stuck_words(&self) -> &[usize] {
+        &self.stuck_words
+    }
+
     /// Number of words that contain at least `n` stuck bits — the quantity
     /// that decides whether ECC SEC/DED (which dies at 2 faults/word) or
     /// DREAM (which survives any count inside the mask) wins at a voltage.
@@ -218,31 +254,6 @@ impl FaultMap {
             .iter()
             .filter(|m| m.count_ones() >= n)
             .count()
-    }
-
-    /// Packs "word `w` has a stuck cell" into bit `w % 64` of
-    /// `out[w / 64]`, resizing `out` to `ceil(words / 64)` entries (bits
-    /// past the last word are zero). One pass over the masks, with no
-    /// allocation when `out` already has the capacity — how a protected
-    /// memory learns which words its reads must decode.
-    pub fn pack_stuck_words(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.stuck_mask.chunks(64).map(|chunk| {
-            // One flag byte per word (a loop the compiler vectorizes),
-            // then each 8 flag bytes gathered into 8 bits by one multiply:
-            // byte i of `x` lands on bit 56 + i of the product.
-            let mut flags = [0u8; 64];
-            for (flag, &mask) in flags.iter_mut().zip(chunk) {
-                *flag = u8::from(mask != 0);
-            }
-            flags
-                .chunks_exact(8)
-                .enumerate()
-                .fold(0u64, |bits, (j, eight)| {
-                    let x = u64::from_le_bytes(eight.try_into().expect("8 flag bytes"));
-                    bits | (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
-                })
-        }));
     }
 
     /// Iterates over `(word, bit, polarity)` for every stuck cell, in word
@@ -288,6 +299,7 @@ impl FaultMap {
             // width, so the pattern copies verbatim.
             out.stuck_mask.copy_from_slice(&self.stuck_mask);
             out.stuck_val.copy_from_slice(&self.stuck_val);
+            out.stuck_words.clone_from(&self.stuck_words);
             out.fault_count = self.fault_count;
         } else {
             out.copy_narrowed_from(self);
@@ -297,7 +309,9 @@ impl FaultMap {
 
     /// Overwrites this map with the fault pattern of `src`, truncating
     /// faults outside this map's (narrower or equal) width — the in-place,
-    /// allocation-free counterpart of [`FaultMap::with_width`].
+    /// allocation-free counterpart of [`FaultMap::with_width`]. It visits
+    /// only this map's and `src`'s stuck words, so a trial re-arm costs
+    /// O(faults), not O(words).
     ///
     /// # Panics
     ///
@@ -313,20 +327,16 @@ impl FaultMap {
         } else {
             (1u32 << self.width) - 1
         };
-        for (dst, &src) in self.stuck_mask.iter_mut().zip(&src.stuck_mask) {
-            *dst = src & keep;
+        self.clear();
+        for &w in &src.stuck_words {
+            let mask = src.stuck_mask[w] & keep;
+            if mask != 0 {
+                self.stuck_mask[w] = mask;
+                self.stuck_val[w] = src.stuck_val[w] & keep;
+                self.stuck_words.push(w);
+                self.fault_count += mask.count_ones() as usize;
+            }
         }
-        for (dst, &src) in self.stuck_val.iter_mut().zip(&src.stuck_val) {
-            *dst = src & keep;
-        }
-        // Trials re-arm once per scalar replay and maps are sparse: only
-        // faulty words pay the popcount (software on baseline x86-64).
-        self.fault_count = self
-            .stuck_mask
-            .iter()
-            .filter(|&&m| m != 0)
-            .map(|m| m.count_ones() as usize)
-            .sum();
     }
 }
 
@@ -498,18 +508,39 @@ mod tests {
         assert_eq!(narrow, wide.with_width(16));
     }
 
+    /// The stuck-word list, sorted, against a scan of the masks.
+    fn listed_matches_scan(map: &FaultMap) {
+        let mut listed = map.stuck_words().to_vec();
+        listed.sort_unstable();
+        let scanned: Vec<usize> = (0..map.words())
+            .filter(|&w| map.stuck_mask(w) != 0)
+            .collect();
+        assert_eq!(listed, scanned);
+    }
+
     #[test]
-    fn packed_stuck_words_match_the_masks() {
-        for words in [0, 1, 63, 64, 65, 200] {
-            let map = FaultMap::generate(words, 22, 2e-2, words as u64);
-            let mut packed = vec![u64::MAX; 9]; // stale content and length
-            map.pack_stuck_words(&mut packed);
-            assert_eq!(packed.len(), words.div_ceil(64));
-            for w in 0..packed.len() * 64 {
-                let bit = packed[w / 64] >> (w % 64) & 1 == 1;
-                assert_eq!(bit, w < words && map.stuck_mask(w) != 0, "word {w}");
-            }
-        }
+    fn stuck_word_list_tracks_every_mutation() {
+        let mut map = FaultMap::generate(300, 22, 0.03, 41);
+        listed_matches_scan(&map);
+        // Re-injecting a stuck word or a stuck cell lists it once.
+        let w = map.stuck_words()[0];
+        map.inject(w, 21, StuckAt::One);
+        map.inject(w, 21, StuckAt::Zero);
+        map.inject(299, 3, StuckAt::One);
+        listed_matches_scan(&map);
+        // A word stuck only above the narrow width drops out of the copy.
+        let mut high = FaultMap::empty(300, 22);
+        high.inject(7, 20, StuckAt::One);
+        high.inject(8, 2, StuckAt::Zero);
+        let mut narrow = FaultMap::generate(300, 16, 0.2, 5);
+        narrow.copy_narrowed_from(&high);
+        listed_matches_scan(&narrow);
+        assert_eq!(narrow.stuck_words(), &[8]);
+        assert_eq!(narrow.fault_count(), 1);
+        listed_matches_scan(&map.with_width(32));
+        map.clear();
+        listed_matches_scan(&map);
+        assert_eq!(map, FaultMap::empty(300, 22));
     }
 
     #[test]

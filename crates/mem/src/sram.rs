@@ -96,6 +96,17 @@ impl FaultySram {
         }
     }
 
+    /// The logical address that physical word `phys` serves (the inverse
+    /// of the scrambler; identity when none is installed).
+    #[inline]
+    pub fn logical(&self, phys: usize) -> usize {
+        if self.identity_map {
+            phys
+        } else {
+            self.scrambler.to_logical(phys)
+        }
+    }
+
     /// The array geometry.
     pub fn geometry(&self) -> &MemGeometry {
         &self.geometry
@@ -196,17 +207,29 @@ impl FaultySram {
     ///
     /// Panics if the region overruns the array.
     pub fn write_block(&mut self, base: usize, vals: &[u32]) {
+        self.write_block_from(base, vals.iter().copied());
+    }
+
+    /// Writes the values `bits` yields to consecutive logical words
+    /// starting at `base` — a block write whose values are computed on
+    /// the fly (an encoder's codes, a fill) with no staging buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region overruns the array.
+    #[inline]
+    pub fn write_block_from(&mut self, base: usize, bits: impl ExactSizeIterator<Item = u32>) {
         let end = base
-            .checked_add(vals.len())
+            .checked_add(bits.len())
             .expect("block end overflows usize");
         assert!(end <= self.geometry.words(), "block out of range");
         if self.identity_map {
-            for (cell, &v) in self.cells[base..end].iter_mut().zip(vals) {
+            for (cell, v) in self.cells[base..end].iter_mut().zip(bits) {
                 *cell = v & self.width_mask;
             }
         } else {
-            for (i, &v) in vals.iter().enumerate() {
-                let phys = self.scrambler.to_physical(base + i);
+            for (addr, v) in (base..end).zip(bits) {
+                let phys = self.scrambler.to_physical(addr);
                 self.cells[phys] = v & self.width_mask;
             }
         }
@@ -226,13 +249,6 @@ impl FaultySram {
     /// Number of stuck bits affecting the logical word `addr`.
     pub fn stuck_bits_at(&self, addr: usize) -> u32 {
         self.stuck_mask_at(addr).count_ones()
-    }
-
-    /// Fills the whole array with `bits` (e.g. to model a memory cleared at
-    /// boot).
-    pub fn fill(&mut self, bits: u32) {
-        let v = bits & self.width_mask;
-        self.cells.iter_mut().for_each(|c| *c = v);
     }
 }
 
@@ -290,15 +306,6 @@ mod tests {
             }
         }
         assert_eq!(hit.len(), 1);
-    }
-
-    #[test]
-    fn fill_initializes_every_word() {
-        let mut sram = FaultySram::new(small());
-        sram.fill(0xABCD);
-        for a in 0..16 {
-            assert_eq!(sram.read(a), 0xABCD);
-        }
     }
 
     #[test]

@@ -630,4 +630,69 @@ mod tests {
         assert!(text.contains("5\r\nworld\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
     }
+
+    mod parse_props {
+        use super::super::*;
+        use proptest::prelude::*;
+        use std::io::Cursor;
+
+        /// Raw request material: arbitrary bytes, or a well-formed head
+        /// with bytes spliced into it, so the deeper states of the parser
+        /// (headers, Content-Length, body) see hostile input too.
+        fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+            (
+                any::<bool>(),
+                prop::collection::vec(any::<u8>(), 0..300),
+                any::<usize>(),
+                0usize..40,
+            )
+                .prop_map(|(structured, noise, at, body)| {
+                    if !structured {
+                        return noise;
+                    }
+                    let mut raw = format!(
+                        "POST /campaigns?sink=jsonl HTTP/1.1\r\nHost: x\r\nContent-Length: {body}\r\n\r\n"
+                    )
+                    .into_bytes();
+                    raw.extend(std::iter::repeat_n(b'{', body));
+                    let at = at % (raw.len() + 1);
+                    raw.splice(at..at, noise);
+                    raw
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// Arbitrary bytes never panic the request parser under
+            /// default or tight budgets: they give a typed error, a clean
+            /// EOF (`None`), or a request that honours the budgets.
+            #[test]
+            fn arbitrary_bytes_never_panic_the_request_parser(
+                raw in request_bytes(),
+                tight in any::<bool>(),
+                max_head in 1usize..128,
+                max_body in 0usize..32,
+            ) {
+                let limits = if tight {
+                    ReadLimits { max_head, max_body, deadline: None }
+                } else {
+                    ReadLimits::default()
+                };
+                match Request::read(&mut Cursor::new(raw.clone()), &limits) {
+                    Ok(Some(req)) => {
+                        prop_assert!(req.body.len() <= limits.max_body, "{:?}", req);
+                        prop_assert!(!req.method.is_empty(), "{:?}", req);
+                        prop_assert!(raw.len() > req.body.len(), "{:?}", req);
+                    }
+                    Ok(None) => {
+                        prop_assert!(
+                            raw.is_empty() || raw[0] == b'\n' || raw.starts_with(b"\r"),
+                            "only an empty first line ends cleanly: {:?}", raw
+                        );
+                    }
+                    Err(e) => prop_assert!(e.response().is_some(), "{}", e),
+                }
+            }
+        }
+    }
 }

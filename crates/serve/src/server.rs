@@ -76,6 +76,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -163,9 +164,21 @@ pub struct ServeConfig {
 /// occupied — until the latch is [released](TestHold::release) or the
 /// campaign's cancel token fires (a drain). Service tests use it to
 /// observe a running campaign without guessing how long one takes.
+///
+/// A latch made by [`TestHold::panic_once`] instead makes the next
+/// campaign to reach that point panic there, and lets every later one run
+/// through: how the service tests drive a campaign that panics.
 #[doc(hidden)]
 #[derive(Clone, Debug, Default)]
-pub struct TestHold(Arc<(Mutex<bool>, Condvar)>);
+pub struct TestHold(Arc<HoldLatch>);
+
+#[derive(Debug, Default)]
+struct HoldLatch {
+    open: Mutex<bool>,
+    opened: Condvar,
+    /// Set: the next campaign to reach the hold panics instead.
+    panic_next: AtomicBool,
+}
 
 impl TestHold {
     /// A closed latch.
@@ -173,21 +186,37 @@ impl TestHold {
         Self::default()
     }
 
+    /// An open latch whose next held campaign panics after its first
+    /// emitted batch.
+    pub fn panic_once() -> Self {
+        let hold = Self::new();
+        hold.0.panic_next.store(true, Ordering::SeqCst);
+        hold.release();
+        hold
+    }
+
     /// Opens the latch for good: held campaigns resume, later ones never
     /// pause.
     pub fn release(&self) {
-        let (open, cv) = &*self.0;
-        *open.lock().expect("hold lock") = true;
-        cv.notify_all();
+        *self.0.open.lock().expect("hold lock") = true;
+        self.0.opened.notify_all();
     }
 
     /// Blocks until the latch opens or `token` fires. Cancel tokens carry
     /// no wake-up, so the wait re-checks the token every few milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, once, on a [`TestHold::panic_once`] latch.
     fn wait(&self, token: &CancelToken) {
-        let (open, cv) = &*self.0;
-        let mut guard = open.lock().expect("hold lock");
+        if self.0.panic_next.swap(false, Ordering::SeqCst) {
+            panic!("test hold: injected campaign panic");
+        }
+        let mut guard = self.0.open.lock().expect("hold lock");
         while !*guard && !token.is_cancelled() {
-            guard = cv
+            guard = self
+                .0
+                .opened
                 .wait_timeout(guard, Duration::from_millis(5))
                 .expect("hold lock")
                 .0;
@@ -694,20 +723,37 @@ fn worker_loop(state: &Arc<State>, jobs: &Arc<Mutex<mpsc::Receiver<Job>>>) {
             .expect("active map lock")
             .insert(job.id.clone(), token.clone());
         state.set_status(&job.id, Status::Running);
-        let result = execute_campaign(state, &job, &token);
+        // A panicking campaign fails alone: the worker records it and
+        // keeps serving, and its followers see the failure instead of
+        // waiting on a campaign nobody runs.
+        let result =
+            panic::catch_unwind(AssertUnwindSafe(|| execute_campaign(state, &job, &token)));
         state
             .active
             .lock()
             .expect("active map lock")
             .remove(&job.id);
         let status = match result {
-            Ok(()) => Status::Complete,
-            Err(EngineError::Cancelled) => Status::Cancelled,
-            Err(e) => Status::Failed(e.to_string()),
+            Ok(Ok(())) => Status::Complete,
+            Ok(Err(EngineError::Cancelled)) => Status::Cancelled,
+            Ok(Err(e)) => Status::Failed(e.to_string()),
+            Err(payload) => {
+                Status::Failed(format!("campaign panicked: {}", panic_message(&*payload)))
+            }
         };
         state.running.fetch_sub(1, Ordering::SeqCst);
         state.set_status(&job.id, status);
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Runs (or resumes) one campaign. A coordinator with a non-trivial

@@ -667,6 +667,18 @@ impl EmtMemory {
         }
     }
 
+    /// Returns to the virgin state of the current arming, keeping its map
+    /// and scrambler (see [`ProtectedMemory::rewind`]): how one armed lane
+    /// runs several apps in turn.
+    pub fn rewind(&mut self) {
+        match self {
+            EmtMemory::None(m) => m.rewind(),
+            EmtMemory::Parity(m) => m.rewind(),
+            EmtMemory::Dream(m) => m.rewind(),
+            EmtMemory::Ecc(m) => m.rewind(),
+        }
+    }
+
     /// Installs a logical→physical address scrambler (the §V randomized
     /// mapping); [`EmtMemory::reset_with_fault_map`] restores identity, so
     /// call this after the per-trial reset.

@@ -701,11 +701,8 @@ struct DrawItem {
 struct DrawArena {
     apps: Vec<Box<dyn BiomedicalApp>>,
     mems: Vec<EmtMemory>,
-    /// One armed map per lane (a single one for the scalar body), reused
-    /// by every evicted cell of the lane: a run arms once and shares the
-    /// map across its EMT × app cells, and re-arming per evicted cell
-    /// would pay that O(words · width) clear-and-sample up to EMTs × apps
-    /// times over.
+    /// One drawn map per lane (a single one for the scalar body): a run
+    /// draws once and shares the map across its EMT × app cells.
     maps: Vec<FaultMap>,
     planes: BatchFaultPlanes,
 }
@@ -786,8 +783,9 @@ fn draw_sweep(
     )
 }
 
-/// Scalar body of a draw item: each run arms its map once and runs every
-/// (EMT, app) cell on it, returning the cells in (run, emt, app) order.
+/// Scalar body of a draw item: each run arms its map once, arms each
+/// EMT's memory with it once, and runs every app of that EMT from a
+/// rewind, returning the cells in (run, emt, app) order.
 fn draw_group_scalar(
     sc: &Scenario,
     point: &DrawPoint,
@@ -811,8 +809,9 @@ fn draw_group_scalar(
                 .arm(map, &suite.geometry, suite.ber_model, seed);
             let mut cells = Vec::with_capacity(mems.len() * apps.len());
             for mem in mems.iter_mut() {
+                arm_lane(sc, point, run, suite, mem, map);
                 for (ai, app) in apps.iter().enumerate() {
-                    cells.push(scalar_cell(sc, point, run, suite, mem, ai, &**app, map));
+                    cells.push(scalar_cell(suite, run, mem, ai, &**app));
                 }
             }
             cells
@@ -825,9 +824,14 @@ fn draw_group_scalar(
 /// (scrambler included, resolved to logical addresses) is transposed into
 /// [`BatchFaultPlanes`]; each record's trace replays on exactly the lanes
 /// that drew it. Survivors take their record's clean SNR and their
-/// [`TrialBatch::lane_stats`] outcome counts, evicted lanes replay the
-/// ordinary scalar trial — so the cells, in the same (run, emt, app)
-/// order, are bit-identical to [`draw_group_scalar`]'s.
+/// [`TrialBatch::lane_stats`] outcome counts.
+///
+/// Per EMT, every app replays first. Then each lane that any app evicted
+/// arms the EMT's memory once and runs only its evicted apps, each from a
+/// rewind, so the §V shared map is paid once per (lane, EMT) and not once
+/// per cell. The evicted cells are the ordinary scalar trials, and each
+/// lands in its (emt, app) slot, so the cells are bit-identical to
+/// [`draw_group_scalar`]'s.
 fn draw_group_batched(
     sc: &Scenario,
     point: &DrawPoint,
@@ -869,23 +873,31 @@ fn draw_group_batched(
         .map(|_| Vec::with_capacity(mems.len() * apps.len()))
         .collect();
     for (ei, mem) in mems.iter_mut().enumerate() {
-        for (ai, app) in apps.iter().enumerate() {
-            let mut batch = TrialBatch::with_bailout(lanes, cfg.bailout);
-            // Replay the memoized traces: only dirty events pay plane
-            // work; the application never runs.
-            for &(ri, mask) in &parts {
-                mem.replay_trace(&clean[ei][ai][ri].trace, planes, &mut batch, mask);
-            }
-            let bailed = batch.bailed().count_ones();
-            telemetry::record_batch_pass(lanes, batch.evicted().count_ones() - bailed, bailed);
-            for (lane, run) in item.runs.clone().enumerate() {
+        // Replay the memoized traces: only dirty events pay plane work;
+        // the application never runs.
+        let batches: Vec<TrialBatch> = (0..apps.len())
+            .map(|ai| {
+                let mut batch = TrialBatch::with_bailout(lanes, cfg.bailout);
+                for &(ri, mask) in &parts {
+                    mem.replay_trace(&clean[ei][ai][ri].trace, planes, &mut batch, mask);
+                }
+                let bailed = batch.bailed().count_ones();
+                telemetry::record_batch_pass(lanes, batch.evicted().count_ones() - bailed, bailed);
+                batch
+            })
+            .collect();
+        for (lane, run) in item.runs.clone().enumerate() {
+            let mut armed = false;
+            for (ai, (app, batch)) in apps.iter().zip(&batches).enumerate() {
                 let cell = if batch.is_alive(lane) {
                     let pass = &clean[ei][ai][run % records.len()];
                     Cell::observed(pass.snr, batch.lane_stats(lane, &pass.trace.stats()))
                 } else {
-                    // Evicted: the ordinary scalar trial, verbatim (the
-                    // lane's map is already armed above).
-                    scalar_cell(sc, point, run, suite, mem, ai, &**app, &maps[lane])
+                    if !armed {
+                        arm_lane(sc, point, run, suite, mem, &maps[lane]);
+                        armed = true;
+                    }
+                    scalar_cell(suite, run, mem, ai, &**app)
                 };
                 cells[lane].push(cell);
             }
@@ -894,19 +906,18 @@ fn draw_group_batched(
     cells
 }
 
-/// The scalar trial of one (EMT, app) cell of `run` on its armed `map`.
-#[allow(clippy::too_many_arguments)]
-fn scalar_cell(
+/// Arms `mem` for `run`: installs its drawn `map` and, when the spec
+/// scrambles, the run's own logical→physical mapping. Every (EMT, app)
+/// cell of the run then starts from this state via [`scalar_cell`]'s
+/// rewind.
+fn arm_lane(
     sc: &Scenario,
     point: &DrawPoint,
     run: usize,
     suite: &DrawSuite,
     mem: &mut EmtMemory,
-    ai: usize,
-    app: &dyn BiomedicalApp,
     map: &FaultMap,
-) -> Cell {
-    let ri = run % suite.records.len();
+) {
     mem.reset_with_fault_map(map);
     if let Some(base) = sc.scrambler_key {
         // Fresh logical→physical mapping per (point, run): the §V
@@ -916,6 +927,19 @@ fn scalar_cell(
             fault_seed(base, point.index, run),
         ));
     }
+}
+
+/// The scalar trial of one (EMT, app) cell of `run` on `mem`, which
+/// [`arm_lane`] armed for the run: rewinds to that arming, then runs.
+fn scalar_cell(
+    suite: &DrawSuite,
+    run: usize,
+    mem: &mut EmtMemory,
+    ai: usize,
+    app: &dyn BiomedicalApp,
+) -> Cell {
+    let ri = run % suite.records.len();
+    mem.rewind();
     let out = mem.run_app(app, &suite.records[ri].samples);
     let snr = cap_snr(snr_db(&suite.references[ai][ri], &samples_to_f64(&out)));
     Cell::observed(snr, mem.stats())

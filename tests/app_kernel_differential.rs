@@ -165,8 +165,9 @@ fn morpho_access_counts_are_pinned() {
 #[test]
 fn sliding_extreme_wedge_handles_long_elements() {
     // The baseline structuring elements (73 and 109 samples at 360 Hz)
-    // exercise the wedge far beyond the denoising window; pin the result
-    // against a naive windowed scan.
+    // exercise the sliding extremes far beyond the denoising window; pin
+    // the result against a naive windowed scan. (The name predates the
+    // van Herk/Gil-Werman block scan that replaced the monotonic wedge.)
     let n = 300usize;
     let x = signal(n, 0x5eed_0004);
     let app = MorphologicalFilter::new(n, 360.0);

@@ -10,6 +10,8 @@
 //! * Drain — `POST /admin/drain` cancels in-flight campaigns between
 //!   grid points, sheds new submissions with `503`, and leaves a
 //!   resumable prefix a restarted server completes deterministically.
+//! * Panic isolation — a campaign that panics reads `failed`, ends its
+//!   followers' streams, and leaves the worker serving the next one.
 //! * Protocol garbage — malformed, oversized, and slow-loris requests
 //!   get JSON error bodies (`400`/`431`/`408`), never a silent drop, and
 //!   a spec nested a mebibyte deep is a `400`, not a crashed server.
@@ -328,6 +330,61 @@ fn drain_cancels_in_flight_and_a_restart_resumes_byte_identically() {
         std::fs::read_to_string(store.rows_path(&id)).expect("rows"),
         want
     );
+}
+
+#[test]
+fn a_panicking_campaign_fails_alone_and_the_worker_keeps_serving() {
+    // One worker: if the panic took it down, or left it counted as
+    // running, the second campaign below would never run.
+    let addr = boot_with(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        store_dir: temp_store("panic"),
+        workers: 1,
+        threads: 1,
+        hold: Some(TestHold::panic_once()),
+        ..ServeConfig::default()
+    });
+    let doomed = staged_spec(0xDEAD);
+    let id = campaign_id(&doomed);
+
+    // The submitter follows the campaign; its stream must end, not hang.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    {
+        let addr = addr.clone();
+        let body = doomed.to_json();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(client_request(&addr, "POST", "/campaigns", body.as_bytes()));
+        });
+    }
+    let followed = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the follower's fetch ended")
+        .expect("the follower got a response");
+    assert_eq!(followed.status, 200);
+
+    let status = client_request(&addr, "GET", &format!("/campaigns/{id}"), b"").expect("status");
+    let body = String::from_utf8(status.body).expect("UTF-8");
+    let doc = Json::parse(&body).expect("status is JSON");
+    assert_eq!(
+        doc.get("status").and_then(Json::as_str),
+        Some("failed"),
+        "{body}"
+    );
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("injected campaign panic"), "{body}");
+
+    // The same worker then runs a second campaign to completion.
+    let next = smoke_spec(0x5AFE, 1);
+    let served =
+        client_request(&addr, "POST", "/campaigns", next.to_json().as_bytes()).expect("POST next");
+    assert_eq!(served.status, 200);
+    assert_eq!(
+        String::from_utf8(served.body).expect("UTF-8"),
+        reference_jsonl(&next)
+    );
+    let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
+    let health_body = String::from_utf8(health.body).expect("UTF-8");
+    assert_eq!(json_number(&health_body, "running"), 0, "{health_body}");
 }
 
 #[test]
