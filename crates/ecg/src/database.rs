@@ -47,10 +47,11 @@ impl Record {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Database;
 
-/// First record number of the suite.
-const FIRST_ID: u16 = 100;
-
 impl Database {
+    /// Record number of the suite's first record; record `k` of the suite
+    /// is `FIRST_ID + k`.
+    pub const FIRST_ID: u16 = 100;
+
     /// Number of records in the standard suite (two per pathology).
     pub const SUITE_SIZE: usize = 10;
 
@@ -72,8 +73,12 @@ impl Database {
     ///
     /// Panics if `id` is below 100.
     pub fn record_with_noise(id: u16, len: usize, noise: &NoiseModel) -> Record {
-        assert!(id >= FIRST_ID, "record numbers start at {FIRST_ID}");
-        let index = usize::from(id - FIRST_ID);
+        assert!(
+            id >= Self::FIRST_ID,
+            "record numbers start at {}",
+            Self::FIRST_ID
+        );
+        let index = usize::from(id - Self::FIRST_ID);
         let pathology = Pathology::all()[index % Pathology::all().len()];
         // Seed derived from the record id; the noise RNG is split off so
         // waveform and noise stay independent.
@@ -95,14 +100,14 @@ impl Database {
     /// signals with different pathologies" the paper averages over (§III).
     pub fn date16_suite(len: usize) -> Vec<Record> {
         (0..Self::SUITE_SIZE as u16)
-            .map(|i| Self::record(FIRST_ID + i, len))
+            .map(|i| Self::record(Self::FIRST_ID + i, len))
             .collect()
     }
 
     /// [`Database::date16_suite`] under an explicit noise model.
     pub fn date16_suite_with_noise(len: usize, noise: &NoiseModel) -> Vec<Record> {
         (0..Self::SUITE_SIZE as u16)
-            .map(|i| Self::record_with_noise(FIRST_ID + i, len, noise))
+            .map(|i| Self::record_with_noise(Self::FIRST_ID + i, len, noise))
             .collect()
     }
 }

@@ -574,4 +574,139 @@ mod tests {
         .unwrap();
         assert!(matches!(store.verify(&id).unwrap(), Integrity::Corrupt(_)));
     }
+
+    /// A store with one campaign directory, `prop`, for the marker and
+    /// row properties; files are overwritten case by case.
+    fn prop_store(tag: &str) -> Store {
+        let dir =
+            std::env::temp_dir().join(format!("dream_store_prop_{tag}_{}", std::process::id()));
+        let store = Store::open(&dir).unwrap();
+        fs::create_dir_all(store.dir("prop")).unwrap();
+        store
+    }
+
+    /// `rows` values of a near-miss marker, as JSON text, and whether
+    /// `read_meta` must accept them.
+    const MARKER_ROWS: [(&str, bool); 8] = [
+        ("0", true),
+        ("3", true),
+        ("9007199254740992", true),
+        ("-1", false),
+        ("1.5", false),
+        ("1e300", false),
+        ("\"3\"", false),
+        ("null", false),
+    ];
+
+    /// `rows_sha256` values of a near-miss marker and whether they are
+    /// accepted: 64 hex digits of either case, nothing else.
+    fn marker_sha(pick: usize) -> (String, bool) {
+        let hex = sha256_hex(b"rows");
+        match pick % 6 {
+            0 => (format!("\"{hex}\""), true),
+            1 => (format!("\"{}\"", hex.to_uppercase()), true),
+            2 => (format!("\"{}\"", &hex[1..]), false),
+            3 => (format!("\"{hex}0\""), false),
+            4 => (format!("\"g{}\"", &hex[1..]), false),
+            _ => ("7".to_string(), false),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arbitrary_markers_are_typed_corruption(
+            marker in proptest::prop::collection::vec(proptest::any::<u8>(), 0..160),
+            rows in proptest::prop::collection::vec(proptest::any::<u8>(), 0..64),
+        ) {
+            // Arbitrary bytes as meta.json: a parsed marker is always a
+            // well-formed one, anything else is `InvalidData`, and
+            // `verify` returns a verdict.
+            let store = prop_store("bytes");
+            fs::write(store.meta_path("prop"), &marker).unwrap();
+            fs::write(store.rows_path("prop"), &rows).unwrap();
+            match store.read_meta("prop") {
+                Ok(Some(meta)) => {
+                    proptest::prop_assert_eq!(meta.rows_sha256.len(), 64);
+                    proptest::prop_assert!(Json::parse(std::str::from_utf8(&marker).unwrap()).is_ok());
+                }
+                Ok(None) => proptest::prop_assert!(false, "an existing marker read as absent"),
+                Err(e) => proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            }
+            proptest::prop_assert!(store.verify("prop").is_ok());
+        }
+
+        #[test]
+        fn near_miss_markers_parse_only_when_well_formed(
+            rows_pick in 0usize..8,
+            sha_pick in 0usize..6,
+            layout in 0u8..6,
+            cut in 0usize..256,
+        ) {
+            // A marker is well-formed exactly when it is a whole JSON
+            // object with an integral `rows` and a 64-hex `rows_sha256`;
+            // extra fields are ignored.
+            let (rows_text, rows_ok) = MARKER_ROWS[rows_pick];
+            let (sha_text, sha_ok) = marker_sha(sha_pick);
+            let (text, layout_ok) = match layout {
+                0 => (format!("{{\"rows\": {rows_text}, \"rows_sha256\": {sha_text}}}"), true),
+                1 => (
+                    format!(
+                        "{{\"id\": \"prop\", \"seed\": 0, \"rows_sha256\": {sha_text}, \"rows\": {rows_text}}}\n"
+                    ),
+                    true,
+                ),
+                2 => (format!("{{\"rows_sha256\": {sha_text}}}"), false),
+                3 => (format!("{{\"rows\": {rows_text}}}"), false),
+                4 => (format!("[{{\"rows\": {rows_text}, \"rows_sha256\": {sha_text}}}]"), false),
+                _ => {
+                    // Torn: the write stopped before the closing brace.
+                    let whole = format!("{{\"rows\": {rows_text}, \"rows_sha256\": {sha_text}}}");
+                    (whole[..cut % (whole.len() - 1)].to_string(), false)
+                }
+            };
+            let store = prop_store("near_miss");
+            fs::write(store.meta_path("prop"), &text).unwrap();
+            fs::write(store.rows_path("prop"), "rows").unwrap();
+            match store.read_meta("prop") {
+                Ok(Some(meta)) => {
+                    proptest::prop_assert!(rows_ok && sha_ok && layout_ok, "accepted {:?}", text);
+                    proptest::prop_assert_eq!(meta.rows.to_string(), rows_text);
+                    proptest::prop_assert_eq!(format!("\"{}\"", meta.rows_sha256), sha_text);
+                }
+                Ok(None) => proptest::prop_assert!(false, "an existing marker read as absent"),
+                Err(e) => {
+                    proptest::prop_assert!(!(rows_ok && sha_ok && layout_ok), "rejected {:?}", text);
+                    proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                }
+            }
+            let verdict = store.verify("prop").unwrap();
+            // The rows file holds no newline, so no marker can verify.
+            proptest::prop_assert!(matches!(verdict, Integrity::Corrupt(_)), "{:?}", verdict);
+        }
+
+        #[test]
+        fn truncate_rows_keeps_whole_rows(
+            bytes in proptest::prop::collection::vec(
+                proptest::prop::sample::select(vec![b'\n', b'\n', b'\r', b'{', b'a', 0xFF]),
+                0..48,
+            ),
+            keep in 0usize..12,
+        ) {
+            // `truncate_rows(k)` keeps min(k, complete lines) rows and
+            // leaves a prefix of the file that is empty or ends in `\n`.
+            let store = prop_store("truncate");
+            fs::write(store.rows_path("prop"), &bytes).unwrap();
+            let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+            let keep = if keep == 11 { usize::MAX } else { keep };
+            let kept = store.truncate_rows("prop", keep).unwrap();
+            proptest::prop_assert_eq!(kept, keep.min(lines));
+            let left = fs::read(store.rows_path("prop")).unwrap();
+            proptest::prop_assert!(bytes.starts_with(&left));
+            proptest::prop_assert!(left.last().is_none_or(|&b| b == b'\n'), "{:?}", left);
+            proptest::prop_assert_eq!(left.iter().filter(|&&b| b == b'\n').count(), kept);
+            proptest::prop_assert_eq!(store.existing_row_count("prop").unwrap(), kept);
+        }
+    }
 }

@@ -593,8 +593,10 @@ struct CleanPass {
 /// Clean passes indexed `[emt][app][record]`.
 type CleanPasses = Vec<Vec<Vec<CleanPass>>>;
 
-/// Records the clean pass of every (EMT, app, record) triple a draw
-/// campaign will touch, in parallel over the trial executor.
+/// Records the clean pass of every (EMT, app, record) triple of a draw
+/// campaign, in parallel over the trial executor. `records` holds only
+/// the records the campaign draws (see [`drawn_records`]), so every
+/// recorded pass is replayed.
 fn record_clean_passes(
     sc: &Scenario,
     records: &[Record],
@@ -603,11 +605,6 @@ fn record_clean_passes(
     threads: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<CleanPasses, exec::Cancelled> {
-    // Draw runs cycle the suite as `run % records.len()`, so a campaign
-    // with fewer trials than records never touches the tail — don't pay
-    // to record it (smoke-scale sweeps would otherwise spend more time
-    // recording unused traces than running trials).
-    let used = records.len().min(sc.trials.max(1));
     // One codec-agnostic raw pass per (app, record): on fault-free memory
     // the application's dynamics do not depend on the EMT (every codec
     // round-trips written words — see [`RawTrace`]), so the expensive
@@ -615,7 +612,7 @@ fn record_clean_passes(
     // derived by re-encoding, not re-running.
     let mut pairs = Vec::new();
     for ai in 0..sc.apps.len() {
-        for ri in 0..used {
+        for ri in 0..records.len() {
             pairs.push((ai, ri));
         }
     }
@@ -629,7 +626,7 @@ fn record_clean_passes(
         |apps, &(ai, ri), _| RawTrace::record(&*apps[ai], &records[ri].samples, geometry.words()),
         cancel,
     )?;
-    // Derivation is cheap (one encode per distinct word); an app that read
+    // Derivation is cheap (one encode per event); an app that read
     // a never-written address (`None` — codec-dependent virgin decode)
     // falls back to direct per-EMT recording, trading speed for exactness.
     let mut mems: Vec<EmtMemory> = sc
@@ -643,9 +640,9 @@ fn record_clean_passes(
     for mem in &mut mems {
         let mut per_app = Vec::with_capacity(sc.apps.len());
         for ai in 0..sc.apps.len() {
-            let mut per_record = Vec::with_capacity(used);
-            for ri in 0..used {
-                let trace = match &raws[ai * used + ri] {
+            let mut per_record = Vec::with_capacity(records.len());
+            for ri in 0..records.len() {
+                let trace = match &raws[ai * records.len() + ri] {
                     Some(raw) => mem.derive_trace(raw),
                     None => {
                         let apps = fallback_apps.get_or_insert_with(scratch);
@@ -979,6 +976,14 @@ fn aggregate_point(sc: &Scenario, results: &[Vec<Cell>]) -> Vec<(EmtKind, AppKin
     out
 }
 
+/// How many records of the suite a draw campaign synthesizes. Runs cycle
+/// the suite as `run % records.len()`, so with fewer trials than records
+/// the tail is never drawn; building only the prefix yields the same
+/// records, since each is seeded by its id.
+fn drawn_records(sc: &Scenario) -> usize {
+    sc.effective_records().min(sc.trials)
+}
+
 /// Double-precision reference outputs per (app, record).
 type References = Vec<Vec<Vec<f64>>>;
 
@@ -1035,7 +1040,7 @@ fn voltage_points(
     cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Fig4Point>, EngineError> {
-    let records = record_suite_with_noise(sc.window, sc.effective_records(), sc.noise_scale);
+    let records = record_suite_with_noise(sc.window, drawn_records(sc), sc.noise_scale);
     let (_apps, geometry, references) = draw_shared(sc, &records, cfg.threads);
     // One clean pass per (EMT, app, record), shared by every voltage: each
     // additional grid point pays only faulty-delta work.
@@ -1163,7 +1168,7 @@ fn run_noise(
                 .iter()
                 .take_while(|s| s.to_bits() == scale.to_bits())
                 .count();
-        let records = record_suite_with_noise(sc.window, sc.effective_records(), scale);
+        let records = record_suite_with_noise(sc.window, drawn_records(sc), scale);
         let references: References = apps
             .iter()
             .map(|app| reference_outputs_on(cfg.threads, &**app, &records))

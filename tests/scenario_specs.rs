@@ -3,6 +3,7 @@
 //! `burst-sweep` / `bank-voltage` must run from a registry name *and*
 //! from a JSON spec file, through every sink format, with identical rows.
 
+use dream_suite::serve::campaign_id;
 use dream_suite::sim::report::{CsvSink, JsonlSink, Sink, TableSink};
 use dream_suite::sim::scenario::json::Json;
 use dream_suite::sim::scenario::{
@@ -281,5 +282,176 @@ proptest! {
         ),
     ) {
         sink_token_round_trips(&parts.concat())?;
+    }
+}
+
+/// `Scenario::from_json` on `text` returns `Ok` or a `SpecError` (a panic
+/// fails the property). Every `Ok` that validates round-trips through
+/// `to_json` to an equal spec with the same store id.
+fn spec_round_trips(text: &str) -> Result<(), TestCaseError> {
+    let Ok(sc) = Scenario::from_json(text) else {
+        return Ok(());
+    };
+    if sc.validate().is_err() {
+        return Ok(());
+    }
+    let again = Scenario::from_json(&sc.to_json());
+    prop_assert_eq!(again.as_ref(), Ok(&sc), "{:?}", text);
+    prop_assert_eq!(campaign_id(&sc), campaign_id(&again.unwrap()), "{:?}", text);
+    Ok(())
+}
+
+/// The values a mutated spec field may take: every JSON type, edge
+/// numbers, and tokens that are valid somewhere in a spec.
+fn value_pool() -> Vec<Json> {
+    let num = Json::Num;
+    let s = |t: &str| Json::Str(t.to_string());
+    vec![
+        Json::Null,
+        Json::Bool(true),
+        num(0.0),
+        num(-0.0),
+        num(-1.0),
+        num(0.5),
+        num(3.0),
+        num(64.0),
+        num(1e12),
+        num(1e308),
+        s(""),
+        s("fig4"),
+        s("fig2"),
+        s("nope"),
+        s("dream"),
+        s("voltage"),
+        s("burst"),
+        s("jsonl"),
+        Json::Arr(vec![]),
+        Json::Arr(vec![num(0.7), num(0.9)]),
+        Json::Arr(vec![s("dwt"), s("ecc")]),
+        Json::Obj(vec![]),
+        Json::Obj(vec![("kind".to_string(), s("iid"))]),
+        Json::Obj(vec![
+            ("axis".to_string(), s("noise_scale")),
+            ("values".to_string(), Json::Arr(vec![num(1.0)])),
+        ]),
+    ]
+}
+
+/// Keys an edit may insert: spec fields, nested-object fields and an
+/// unknown one.
+const SPEC_KEYS: [&str; 11] = [
+    "extends", "name", "records", "trials", "kind", "axis", "values", "model", "window", "seed",
+    "bogus",
+];
+
+/// Applies one edit at the node `path` leads to (indices wrap; the walk
+/// stops at a leaf): op 0 replaces the node with `value`, 1 removes it,
+/// 2 inserts `value` before it (under `key` in an object), and 3 splices
+/// in the node at the same place of `donor`, another preset's document.
+fn edit(node: &mut Json, path: &[usize], op: u8, value: &Json, key: &str, donor: Option<&Json>) {
+    match (path.split_first(), node) {
+        (Some((&i, rest)), Json::Obj(fields)) if !fields.is_empty() => {
+            let i = i % fields.len();
+            let donor = donor.and_then(|d| d.get(&fields[i].0));
+            if !rest.is_empty() {
+                return edit(&mut fields[i].1, rest, op, value, key, donor);
+            }
+            match op {
+                0 => fields[i].1 = value.clone(),
+                1 => drop(fields.remove(i)),
+                2 => fields.insert(i, (key.to_string(), value.clone())),
+                _ => {
+                    if let Some(d) = donor {
+                        fields[i].1 = d.clone();
+                    }
+                }
+            }
+        }
+        (Some((&i, rest)), Json::Arr(items)) if !items.is_empty() => {
+            let i = i % items.len();
+            let donor = match donor {
+                Some(Json::Arr(d)) => d.get(i),
+                _ => None,
+            };
+            if !rest.is_empty() {
+                return edit(&mut items[i], rest, op, value, key, donor);
+            }
+            match op {
+                0 => items[i] = value.clone(),
+                1 => drop(items.remove(i)),
+                2 => items.insert(i, value.clone()),
+                _ => {
+                    if let Some(d) = donor {
+                        items[i] = d.clone();
+                    }
+                }
+            }
+        }
+        (_, node) => {
+            if op == 0 {
+                *node = value.clone();
+            }
+        }
+    }
+}
+
+/// A registry preset's canonical document.
+fn preset_doc(index: usize, smoke: bool) -> Json {
+    let names = registry::names();
+    let sc = registry::get(names[index % names.len()], smoke).expect("preset exists");
+    Json::parse(&sc.to_json()).expect("presets serialize to JSON")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile spec documents: arbitrary bytes, read as lossy UTF-8.
+    #[test]
+    fn spec_parser_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        spec_round_trips(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Near-miss documents: a preset with fields replaced, removed,
+    /// inserted, or spliced in from another preset, at any depth.
+    #[test]
+    fn spec_parser_round_trips_mutated_presets(
+        preset in 0usize..64,
+        smoke in any::<bool>(),
+        donor in 0usize..64,
+        edits in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..64, 1..4),
+                0u8..4,
+                0usize..64,
+                0usize..64,
+            ),
+            1..4,
+        ),
+    ) {
+        let mut doc = preset_doc(preset, smoke);
+        let donor = preset_doc(donor, !smoke);
+        let pool = value_pool();
+        for (path, op, value, key) in &edits {
+            let value = &pool[value % pool.len()];
+            let key = SPEC_KEYS[key % SPEC_KEYS.len()];
+            edit(&mut doc, path, *op, value, key, Some(&donor));
+        }
+        spec_round_trips(&doc.pretty())?;
+    }
+
+    /// Byte-level damage to a preset's text: a cut span replaced by
+    /// arbitrary bytes.
+    #[test]
+    fn spec_parser_survives_spliced_preset_bytes(
+        preset in 0usize..64,
+        start in 0usize..2048,
+        cut in 0usize..16,
+        insert in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let mut bytes = preset_doc(preset, true).pretty().into_bytes();
+        let start = start % (bytes.len() + 1);
+        let end = (start + cut).min(bytes.len());
+        bytes.splice(start..end, insert);
+        spec_round_trips(&String::from_utf8_lossy(&bytes))?;
     }
 }
