@@ -72,14 +72,20 @@
 //! [`CancelToken`], and leaves the interrupted artifacts resumable on
 //! disk; `POST /admin/shutdown` drains and then exits [`Server::run`],
 //! which also reaps any locally spawned worker processes.
+//!
+//! A panic fails only what raised it. A panicking campaign is marked
+//! `failed` and its worker moves on; a panicking request handler answers
+//! a JSON `500` if no response byte went out (and closes the connection
+//! otherwise), and its thread keeps serving.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -93,7 +99,7 @@ use dream_sim::scenario::{
 use dream_sim::telemetry::{self, BatchTelemetry};
 
 use crate::client::{fetch_rows, RetryPolicy};
-use crate::http::{write_response, ReadLimits, Request};
+use crate::http::{self, ReadLimits, Request};
 use crate::store::{campaign_id, spec_hash, Integrity, Store};
 
 /// How long row-stream followers sleep between artifact polls when no
@@ -167,7 +173,8 @@ pub struct ServeConfig {
 ///
 /// A latch made by [`TestHold::panic_once`] instead makes the next
 /// campaign to reach that point panic there, and lets every later one run
-/// through: how the service tests drive a campaign that panics.
+/// through: how the service tests drive a campaign that panics. One made
+/// by [`TestHold::panic_handlers`] makes request handlers panic.
 #[doc(hidden)]
 #[derive(Clone, Debug, Default)]
 pub struct TestHold(Arc<HoldLatch>);
@@ -178,6 +185,8 @@ struct HoldLatch {
     opened: Condvar,
     /// Set: the next campaign to reach the hold panics instead.
     panic_next: AtomicBool,
+    /// How many of the next requests' handlers panic before answering.
+    panic_handlers: AtomicUsize,
 }
 
 impl TestHold {
@@ -193,6 +202,26 @@ impl TestHold {
         hold.0.panic_next.store(true, Ordering::SeqCst);
         hold.release();
         hold
+    }
+
+    /// An open latch whose next `n` request handlers panic after parsing
+    /// their request, before writing any response byte.
+    pub fn panic_handlers(n: usize) -> Self {
+        let hold = Self::new();
+        hold.0.panic_handlers.store(n, Ordering::SeqCst);
+        hold.release();
+        hold
+    }
+
+    /// Panics while a [`TestHold::panic_handlers`] budget is left.
+    fn check_handler(&self) {
+        let left = &self.0.panic_handlers;
+        if left
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            panic!("test hold: injected handler panic");
+        }
     }
 
     /// Opens the latch for good: held campaigns resume, later ones never
@@ -690,15 +719,52 @@ fn spawn_local_workers(
     Ok(addrs)
 }
 
+thread_local! {
+    /// Whether any response byte of the connection this handler thread
+    /// serves has been written (see [`handler_loop`]).
+    static RESPONDED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// [`http::write_response`], noting for [`handler_loop`] that the
+/// connection's response has begun.
+fn write_response(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    RESPONDED.set(true);
+    http::write_response(stream, status, reason, content_type, extra_headers, body)
+}
+
 fn handler_loop(state: &Arc<State>, conns: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
     loop {
         let stream = match conns.lock().expect("connection queue lock").recv() {
             Ok(stream) => stream,
             Err(_) => return, // accept loop exited
         };
+        // The handler reads the request through this second handle, which
+        // also outlives a panicking handler to answer for it.
+        let Ok(mut reply) = stream.try_clone() else {
+            continue;
+        };
         // Connection-level failures (client hung up mid-request) only end
-        // that connection.
-        let _ = handle_connection(state, stream);
+        // that connection. A panicking handler does too, and the thread
+        // lives on: the client gets a 500 if no response byte went out,
+        // and a closed connection otherwise.
+        RESPONDED.set(false);
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+            handle_connection(state, stream, &reply)
+        }));
+        if let Err(payload) = handled {
+            if !RESPONDED.get() {
+                let message = format!("request handler panicked: {}", panic_message(&*payload));
+                let _ = error_response(&mut reply, 500, "Internal Server Error", &message);
+            }
+            let _ = reply.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -948,10 +1014,11 @@ fn fetch_shard_inner(state: &Arc<State>, sid: &str, shard: &Shard) -> io::Result
     Err(last_error)
 }
 
-fn handle_connection(state: &Arc<State>, stream: TcpStream) -> io::Result<()> {
+/// Serves one connection: `reader` is a second handle on `stream`.
+fn handle_connection(state: &Arc<State>, stream: TcpStream, reader: &TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(state.read_timeout))?;
     stream.set_write_timeout(Some(state.write_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(reader);
     let mut stream = stream;
     let request = match Request::read(&mut reader, &state.limits) {
         Ok(None) => return Ok(()),
@@ -968,6 +1035,9 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) -> io::Result<()> {
             return Ok(());
         }
     };
+    if let Some(hold) = &state.hold {
+        hold.check_handler();
+    }
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/campaigns") => post_campaign(state, stream, &request, false),
         ("POST", "/shards") => post_campaign(state, stream, &request, true),
@@ -1325,6 +1395,7 @@ fn stream_rows(state: &Arc<State>, stream: TcpStream, id: &str, cache: &str) -> 
     let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Campaign-Id: {id}\r\nX-Dream-Cache: {cache}\r\n\r\n"
     );
+    RESPONDED.set(true);
     stream.write_all(head.as_bytes())?;
     stream.flush()?;
     stream.set_nonblocking(true)?;

@@ -2,7 +2,7 @@
 //! and the geometry/record-suite selection every figure runner shares.
 
 use dream_core::{
-    AccessStats, AnyCodec, DecodeOutcome, Dream, EccSecDed, EmtCodec, EmtKind, EvenParity,
+    AccessStats, AnyCodec, DecodeOutcome, Dream, EccSecDed, EmtCodec, EmtKind, Encoded, EvenParity,
     NoProtection, ProtectedMemory, TrialBatch,
 };
 use dream_dsp::{BiomedicalApp, WordStorage};
@@ -297,6 +297,10 @@ impl StageLog {
 /// survivor deltas accumulate over *all* reads the lane corrupts —
 /// evicted lanes' deltas are never consumed.
 ///
+/// The injection family records one per (EMT, app, record) directly on
+/// the EMT's memory; the draw family replays a shared [`RawTrace`]
+/// instead, except for an app that reads before writing.
+///
 /// A directly recorded trace orders its events by (first-read stage,
 /// address, epoch). A stuck cell decodes every read of one event
 /// identically, so the first event that evicts a lane carries the
@@ -305,9 +309,9 @@ impl StageLog {
 /// a stage log (per-stage read offsets and the pass's writes), which lets
 /// an evicted lane resume at that stage instead of re-running the clean
 /// prefix ([`EmtMemory::run_app_resumed`]). A trace derived from a
-/// [`RawTrace`] for the draw family, which replays evicted lanes from
-/// stage 0, keeps neither: its events stay in (address, epoch) order,
-/// which replays faster under many-fault planes.
+/// [`RawTrace`] ([`EmtMemory::derive_trace`], kept for the benchmark
+/// mirror) keeps neither: its events stay in (address, epoch) order,
+/// like the raw trace's.
 pub struct CleanTrace {
     events: Vec<TraceEvent>,
     output: Vec<i16>,
@@ -462,7 +466,6 @@ impl CleanTrace {
         batch: &mut TrialBatch,
         lanes: u64,
     ) -> [u16; MAX_LANES] {
-        let width = codec.code_width() as usize;
         let mut word_planes = [0u64; 32];
         let mut left_at = [0u16; MAX_LANES];
         for e in &self.events {
@@ -474,17 +477,14 @@ impl CleanTrace {
                 }
                 continue;
             }
-            planes.overlay(e.addr as usize, e.code, &mut word_planes[..width]);
-            let d = codec.decode_batch(&word_planes[..width], e.side);
-            let clean_word = e.word as u16;
-            let mut diverged = 0u64;
-            for (i, &plane) in d.data.iter().enumerate() {
-                let clean_plane = 0u64.wrapping_sub(u64::from(clean_word >> i & 1));
-                diverged |= plane ^ clean_plane;
-            }
+            let encoded = Encoded {
+                code: e.code,
+                side: e.side,
+            };
+            let d = decode_lanes(codec, planes, e.addr, encoded, e.word, &mut word_planes);
             batch.record_read(
                 active,
-                diverged,
+                d.diverged,
                 d.corrected,
                 d.uncorrectable,
                 e.outcome,
@@ -497,6 +497,43 @@ impl CleanTrace {
             }
         }
         left_at
+    }
+}
+
+/// Every lane's decode of one clean read under its faults: the lanes
+/// whose word differs from the clean word, and the decoder's corrected
+/// and uncorrectable lane masks.
+struct LaneDecode {
+    diverged: u64,
+    corrected: u64,
+    uncorrectable: u64,
+}
+
+/// Overlays every lane's faults at `addr` on the clean `stored` codeword
+/// and decodes all lanes at once against the clean `word`. `word_planes`
+/// is the caller's scratch, hoisted out of its event loop.
+#[inline]
+fn decode_lanes<C: EmtCodec + ?Sized>(
+    codec: &C,
+    planes: &BatchFaultPlanes,
+    addr: u32,
+    stored: Encoded,
+    word: i16,
+    word_planes: &mut [u64; 32],
+) -> LaneDecode {
+    let width = codec.code_width() as usize;
+    planes.overlay(addr as usize, stored.code, &mut word_planes[..width]);
+    let d = codec.decode_batch(&word_planes[..width], stored.side);
+    let clean_word = word as u16;
+    let mut diverged = 0u64;
+    for (i, &plane) in d.data.iter().enumerate() {
+        let clean_plane = 0u64.wrapping_sub(u64::from(clean_word >> i & 1));
+        diverged |= plane ^ clean_plane;
+    }
+    LaneDecode {
+        diverged,
+        corrected: d.corrected,
+        uncorrectable: d.uncorrectable,
     }
 }
 
@@ -516,9 +553,11 @@ struct RawEvent {
 /// On fault-free memory every codec round-trips written words exactly
 /// (`decode(encode(w)) == (w, Clean)` — pinned by the exhaustive codec
 /// tests), so the application's clean dynamics do not depend on the EMT:
-/// one raw recording per (app, record) yields the [`CleanTrace`] of
-/// *every* EMT via [`EmtMemory::derive_trace`], re-encoding each distinct word
-/// instead of re-running the application four times.
+/// one raw recording per (app, record) *is* the clean pass of every EMT.
+/// The draw family replays it directly under each EMT
+/// ([`EmtMemory::replay_raw_trace`]), encoding a word with that EMT's
+/// codec only at the events some lane's faults touch. Its output, and
+/// hence its reference SNR, are shared by every EMT too.
 ///
 /// The one case where dynamics *would* diverge is a read of a
 /// never-written address: after [`ProtectedMemory::reset_with_fault_map`]
@@ -540,7 +579,8 @@ pub struct RawTrace {
 }
 
 impl RawTrace {
-    /// Runs `app` over `input` on plain zeroed storage of `words` words,
+    /// Runs `app` over `input` on plain zeroed storage of `words` words
+    /// (at least `app.memory_words()`; the engine passes exactly that),
     /// recording word epochs per address. Returns `None` if the app read
     /// an address before writing it (see the type docs).
     pub fn record(app: &dyn BiomedicalApp, input: &[i16], words: usize) -> Option<RawTrace> {
@@ -644,6 +684,54 @@ impl RawTrace {
     pub fn output(&self) -> &[i16] {
         &self.output
     }
+
+    /// Every EMT's clean access statistics: the pass's reads and writes,
+    /// and no corrected or uncorrectable read (every clean decode is
+    /// `Clean`) — the baseline [`TrialBatch::lane_stats`] offsets from.
+    pub fn stats(&self) -> AccessStats {
+        AccessStats {
+            reads: self.reads,
+            writes: self.writes,
+            corrected_reads: 0,
+            uncorrectable_reads: 0,
+        }
+    }
+
+    /// [`CleanTrace::replay`]'s contract for `codec`'s memory, on the
+    /// codec-agnostic events: an event no active lane's planes mark dirty
+    /// skips untouched, and a dirty one encodes its clean word with
+    /// `codec` before the overlay and batched decode. The clean outcome
+    /// is always `Clean`. Lanes leave at no recorded stage, since the
+    /// draw family re-runs evicted lanes from stage 0.
+    fn replay<C: EmtCodec + ?Sized>(
+        &self,
+        codec: &C,
+        planes: &BatchFaultPlanes,
+        batch: &mut TrialBatch,
+        lanes: u64,
+    ) {
+        let mut word_planes = [0u64; 32];
+        for e in &self.events {
+            let alive = batch.alive();
+            let active = planes.dirty_mask(e.addr as usize) & alive & lanes;
+            if active == 0 {
+                if alive & lanes == 0 {
+                    break;
+                }
+                continue;
+            }
+            let stored = codec.encode(e.word);
+            let d = decode_lanes(codec, planes, e.addr, stored, e.word, &mut word_planes);
+            batch.record_read(
+                active,
+                d.diverged,
+                d.corrected,
+                d.uncorrectable,
+                DecodeOutcome::Clean,
+                e.count,
+            );
+        }
+    }
 }
 
 impl CleanTrace {
@@ -654,6 +742,9 @@ impl CleanTrace {
     /// events stay in the raw pass's (address, epoch) order, carry no
     /// stage (0), and no [`StageLog`] is kept (see the [`CleanTrace`]
     /// docs).
+    ///
+    /// Only [`EmtMemory::derive_trace`], the benchmark mirror's seam,
+    /// calls this: the engine replays raw traces directly.
     fn derive<C: EmtCodec>(codec: &C, raw: &RawTrace) -> CleanTrace {
         let mut corrected = 0u64;
         let mut uncorrectable = 0u64;
@@ -812,6 +903,12 @@ impl EmtMemory {
     /// written words and the raw recording rejects read-before-write).
     /// Equality with a direct [`EmtMemory::record_trace`] is pinned by
     /// `derived_trace_matches_direct_recording_for_every_emt` below.
+    ///
+    /// The engine does not call this: it replays the raw trace itself
+    /// ([`EmtMemory::replay_raw_trace`]). It stays public for the
+    /// benchmark's engine mirror (`benchmark/src/mirror.rs`), which still
+    /// derives per-EMT traces, and goes once ROADMAP item 2 retires the
+    /// mirror.
     pub fn derive_trace(&self, raw: &RawTrace) -> CleanTrace {
         match self {
             EmtMemory::None(m) => CleanTrace::derive(m.codec(), raw),
@@ -836,6 +933,24 @@ impl EmtMemory {
         lanes: u64,
     ) {
         self.replay_trace_staged(trace, faults, batch, lanes);
+    }
+
+    /// [`EmtMemory::replay_trace`] of the clean pass every EMT shares: the
+    /// same evictions and survivor statistics (offset from
+    /// [`RawTrace::stats`]) as replaying this EMT's own recorded trace.
+    pub fn replay_raw_trace(
+        &self,
+        trace: &RawTrace,
+        faults: &BatchFaultPlanes,
+        batch: &mut TrialBatch,
+        lanes: u64,
+    ) {
+        match self {
+            EmtMemory::None(m) => trace.replay(m.codec(), faults, batch, lanes),
+            EmtMemory::Parity(m) => trace.replay(m.codec(), faults, batch, lanes),
+            EmtMemory::Dream(m) => trace.replay(m.codec(), faults, batch, lanes),
+            EmtMemory::Ecc(m) => trace.replay(m.codec(), faults, batch, lanes),
+        }
     }
 
     /// [`EmtMemory::replay_trace`] that also reports, per lane, the stage
@@ -891,7 +1006,7 @@ impl EmtMemory {
 mod tests {
     use super::*;
     use dream_core::EmtKind;
-    use dream_mem::MemGeometry;
+    use dream_mem::{MemGeometry, StuckAt};
 
     #[test]
     fn seeds_are_distinct_across_points_and_runs() {
@@ -1279,53 +1394,69 @@ mod tests {
 
     const SCRIPT_WORDS: usize = 16;
 
+    /// One arbitrary script op: (kind, address, data, stage).
+    type ScriptOp = (u8, usize, Vec<i16>, usize);
+
+    /// Arbitrary ops over [`SCRIPT_WORDS`] words and three stages, on a
+    /// tiny value alphabet, so addresses often get an earlier word back.
+    fn script_ops() -> impl proptest::prelude::Strategy<Value = Vec<ScriptOp>> {
+        proptest::prop::collection::vec(
+            (
+                0u8..4,
+                0usize..SCRIPT_WORDS,
+                proptest::prop::collection::vec(-3i16..=3, 1..6),
+                0usize..3,
+            ),
+            0..60,
+        )
+    }
+
+    /// The [`Scripted`] app of `script`: a block write of `init` first
+    /// (so nothing is read before it is written), the script's ops in
+    /// their stages, and a fixed write-x/write-y/write-x tail at the
+    /// `restore` address that always gives an address an earlier word
+    /// back.
+    fn scripted_app(init: Vec<i16>, script: Vec<ScriptOp>, restore: (usize, i16)) -> Scripted {
+        let mut stages = vec![vec![Op::WriteBlock(0, init)], Vec::new(), Vec::new()];
+        for (kind, addr, data, stage) in script {
+            let len = data.len();
+            let base = addr.min(SCRIPT_WORDS - len);
+            stages[stage].push(match kind {
+                0 => Op::Write(addr, data[0]),
+                1 => Op::WriteBlock(base, data),
+                2 => Op::Read(addr),
+                _ => Op::ReadBlock(base, len),
+            });
+        }
+        let (addr, x) = restore;
+        let y = if x == 3 { -3 } else { x + 1 };
+        stages[2].extend([
+            Op::Write(addr, x),
+            Op::Read(addr),
+            Op::Write(addr, y),
+            Op::Read(addr),
+            Op::Write(addr, x),
+            Op::Read(addr),
+        ]);
+        Scripted {
+            words: SCRIPT_WORDS,
+            stages,
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         #[test]
         fn flat_recorders_match_for_arbitrary_scripts(
             init in proptest::prop::collection::vec(-3i16..=3, SCRIPT_WORDS),
-            script in proptest::prop::collection::vec(
-                (
-                    0u8..4,
-                    0usize..SCRIPT_WORDS,
-                    proptest::prop::collection::vec(-3i16..=3, 1..6),
-                    0usize..3,
-                ),
-                0..60,
-            ),
+            script in script_ops(),
             restore in (0usize..SCRIPT_WORDS, -3i16..=3),
         ) {
             // The derived trace of any script equals its direct recording
             // re-sorted by address, for every EMT, and holds exactly one
-            // event per distinct (address, word) read. Values come from a
-            // tiny alphabet, so addresses often get an earlier word back;
-            // the fixed tail below always does.
-            let mut stages = vec![vec![Op::WriteBlock(0, init)], Vec::new(), Vec::new()];
-            for (kind, addr, data, stage) in script {
-                let len = data.len();
-                let base = addr.min(SCRIPT_WORDS - len);
-                stages[stage].push(match kind {
-                    0 => Op::Write(addr, data[0]),
-                    1 => Op::WriteBlock(base, data),
-                    2 => Op::Read(addr),
-                    _ => Op::ReadBlock(base, len),
-                });
-            }
-            let (addr, x) = restore;
-            let y = if x == 3 { -3 } else { x + 1 };
-            stages[2].extend([
-                Op::Write(addr, x),
-                Op::Read(addr),
-                Op::Write(addr, y),
-                Op::Read(addr),
-                Op::Write(addr, x),
-                Op::Read(addr),
-            ]);
-            let app = Scripted {
-                words: SCRIPT_WORDS,
-                stages,
-            };
+            // event per distinct (address, word) read.
+            let app = scripted_app(init, script, restore);
             let geometry = banked_geometry(SCRIPT_WORDS);
             let raw = RawTrace::record(&app, &[], geometry.words())
                 .expect("the script writes every word first");
@@ -1345,6 +1476,78 @@ mod tests {
                 proptest::prop_assert_eq!(direct.events(), pairs, "{}: event count", kind);
                 proptest::prop_assert_eq!(&derived.output, &direct.output, "{}: output", kind);
                 proptest::prop_assert_eq!(derived.stats(), direct.stats(), "{}: stats", kind);
+            }
+        }
+
+        #[test]
+        fn raw_replay_matches_direct_replay(
+            init in proptest::prop::collection::vec(-3i16..=3, SCRIPT_WORDS),
+            script in script_ops(),
+            restore in (0usize..SCRIPT_WORDS, -3i16..=3),
+            lanes in 1usize..=MAX_LANES,
+            stuck in proptest::prop::collection::vec(
+                (0usize..MAX_LANES, 0usize..SCRIPT_WORDS, 0u32..22, proptest::any::<bool>()),
+                0..48,
+            ),
+            masks in (proptest::any::<u64>(), proptest::any::<u64>()),
+            bailout in 0.0f64..=1.0,
+        ) {
+            // Replaying the shared raw trace under an EMT leaves the batch
+            // a replay of that EMT's own recording leaves: without a
+            // bail-out against the direct (stage-ordered) recording, the
+            // same alive and evicted lanes and survivor statistics; and at
+            // any bail-out against the derived trace, whose events come in
+            // the raw trace's order, the same batch down to every lane's
+            // statistics. The lanes replay as two masked sub-groups, like
+            // lanes that drew two records, and some lanes may replay none.
+            let app = scripted_app(init, script, restore);
+            let geometry = banked_geometry(SCRIPT_WORDS);
+            let raw = RawTrace::record(&app, &[], app.memory_words())
+                .expect("the script writes every word first");
+            let mut planes = BatchFaultPlanes::new(geometry.words(), 22);
+            for (lane, addr, bit, one) in stuck {
+                let stuck = if one { StuckAt::One } else { StuckAt::Zero };
+                planes.inject(lane % lanes, addr, bit, stuck);
+            }
+            let all = u64::MAX >> (MAX_LANES - lanes);
+            let (replayed, split) = masks;
+            let masks = [replayed & split & all, replayed & !split & all];
+            for kind in EmtKind::all() {
+                let mut mem = EmtMemory::new(kind, geometry);
+                mem.reset_with_fault_map(&FaultMap::empty(geometry.words(), 22));
+                let direct = mem.record_trace(&app, &[]);
+                let derived = mem.derive_trace(&raw);
+                let replay = |fraction: f64, own: &CleanTrace| {
+                    let mut from_raw = TrialBatch::with_bailout(lanes, fraction);
+                    let mut from_own = TrialBatch::with_bailout(lanes, fraction);
+                    for mask in masks {
+                        mem.replay_raw_trace(&raw, &planes, &mut from_raw, mask);
+                        mem.replay_trace(own, &planes, &mut from_own, mask);
+                    }
+                    (from_raw, from_own)
+                };
+                let (from_raw, from_direct) = replay(0.0, &direct);
+                proptest::prop_assert_eq!(from_raw.alive(), from_direct.alive(), "{}", kind);
+                proptest::prop_assert_eq!(from_raw.evicted(), from_direct.evicted(), "{}", kind);
+                proptest::prop_assert_eq!(raw.stats(), direct.stats(), "{}: clean stats", kind);
+                for lane in (0..lanes).filter(|&l| from_raw.is_alive(l)) {
+                    proptest::prop_assert_eq!(
+                        from_raw.lane_stats(lane, &raw.stats()),
+                        from_direct.lane_stats(lane, &direct.stats()),
+                        "{} lane {}", kind, lane
+                    );
+                }
+                let (from_raw, from_derived) = replay(bailout, &derived);
+                proptest::prop_assert_eq!(from_raw.alive(), from_derived.alive(), "{}", kind);
+                proptest::prop_assert_eq!(from_raw.evicted(), from_derived.evicted(), "{}", kind);
+                proptest::prop_assert_eq!(from_raw.bailed(), from_derived.bailed(), "{}", kind);
+                for lane in 0..lanes {
+                    proptest::prop_assert_eq!(
+                        from_raw.lane_stats(lane, &raw.stats()),
+                        from_derived.lane_stats(lane, &derived.stats()),
+                        "{} lane {} at bail-out {}", kind, lane, bailout
+                    );
+                }
             }
         }
     }

@@ -157,9 +157,9 @@ impl std::error::Error for Cancelled {}
 /// Whether [`BATCH_ENV`] enables trial batching (unset: **on**) — the
 /// env-edge parser behind [`ExecConfig::from_env`].
 ///
-/// Batching defaults on: with clean-trace derivation and per-lane map
-/// reuse it beats the scalar path on every workload that exercises it
-/// (set `DREAM_BATCH=0` to opt out).
+/// Batching defaults on: with one shared clean pass per (app, record)
+/// and per-lane map reuse it beats the scalar path on every benchmark
+/// workload that exercises it (set `DREAM_BATCH=0` to opt out).
 ///
 /// Batching is an execution strategy, not a model change: the engine's
 /// batched paths are bit-identical to the scalar paths by the divergence

@@ -578,87 +578,96 @@ impl Cell {
     }
 }
 
-/// One memoized clean pass: the aggregated read trace of an (EMT, app,
-/// record) triple on fault-free memory, plus its capped reference SNR.
+/// One memoized clean pass: an aggregated read trace on fault-free
+/// memory, plus its capped reference SNR.
 ///
 /// The clean pass depends on none of a grid point's knobs — not the
-/// voltage, not the fault model, not the trial index — so a draw sweep
-/// records each triple once and every batched group replays the trace
-/// instead of re-running the application.
-struct CleanPass {
-    trace: CleanTrace,
+/// voltage, not the fault model, not the trial index — so a campaign
+/// records it once and every batched group replays the trace instead of
+/// re-running the application.
+struct CleanPass<T = CleanTrace> {
+    trace: T,
     snr: f64,
 }
 
-/// Clean passes indexed `[emt][app][record]`.
-type CleanPasses = Vec<Vec<Vec<CleanPass>>>;
+/// The clean pass of one (app, record) of a draw campaign.
+enum DrawPass {
+    /// The codec-agnostic raw pass every EMT shares: the same output,
+    /// hence one SNR, under every codec (see [`RawTrace`]).
+    Shared(CleanPass<RawTrace>),
+    /// An app that reads an address before writing it decodes a
+    /// codec-dependent virgin word, so each EMT keeps its own direct
+    /// recording, indexed by EMT.
+    PerEmt(Vec<CleanPass>),
+}
 
-/// Records the clean pass of every (EMT, app, record) triple of a draw
-/// campaign, in parallel over the trial executor. `records` holds only
-/// the records the campaign draws (see [`drawn_records`]), so every
-/// recorded pass is replayed.
-fn record_clean_passes(
+impl DrawPass {
+    /// Replays EMT `ei`'s clean pass on `mem`, that EMT's memory.
+    fn replay(
+        &self,
+        ei: usize,
+        mem: &EmtMemory,
+        planes: &BatchFaultPlanes,
+        batch: &mut TrialBatch,
+        lanes: u64,
+    ) {
+        match self {
+            DrawPass::Shared(pass) => mem.replay_raw_trace(&pass.trace, planes, batch, lanes),
+            DrawPass::PerEmt(passes) => mem.replay_trace(&passes[ei].trace, planes, batch, lanes),
+        }
+    }
+
+    /// EMT `ei`'s clean SNR and access statistics.
+    fn clean(&self, ei: usize) -> (f64, AccessStats) {
+        match self {
+            DrawPass::Shared(pass) => (pass.snr, pass.trace.stats()),
+            DrawPass::PerEmt(passes) => (passes[ei].snr, passes[ei].trace.stats()),
+        }
+    }
+}
+
+/// Clean passes indexed `[app][record]`.
+type CleanPasses = Vec<Vec<DrawPass>>;
+
+/// Records the clean pass of one (app, record) of a draw campaign: one
+/// raw recording on the app's own footprint, shared by every EMT, or —
+/// for an app that reads before writing — one direct recording per EMT
+/// on the campaign's `geometry`.
+///
+/// Telemetry counts one trace per (EMT, app, record) either way: that is
+/// the number of clean passes the campaign replays.
+fn record_clean_pass(
     sc: &Scenario,
-    records: &[Record],
-    references: &References,
+    app: &dyn BiomedicalApp,
+    record: &Record,
+    reference: &[f64],
     geometry: MemGeometry,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<CleanPasses, exec::Cancelled> {
-    // One codec-agnostic raw pass per (app, record): on fault-free memory
-    // the application's dynamics do not depend on the EMT (every codec
-    // round-trips written words — see [`RawTrace`]), so the expensive
-    // application runs happen apps × records times and each EMT's trace is
-    // derived by re-encoding, not re-running.
-    let mut pairs = Vec::new();
-    for ai in 0..sc.apps.len() {
-        for ri in 0..records.len() {
-            pairs.push((ai, ri));
-        }
+) -> DrawPass {
+    for _ in &sc.emts {
+        telemetry::record_trace();
     }
-    let scratch = || -> Vec<Box<dyn BiomedicalApp>> {
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect()
-    };
-    let raws = exec::run_trials_cancellable(
-        threads,
-        &pairs,
-        scratch,
-        |apps, &(ai, ri), _| RawTrace::record(&*apps[ai], &records[ri].samples, geometry.words()),
-        cancel,
-    )?;
-    // Derivation is cheap (one encode per event); an app that read
-    // a never-written address (`None` — codec-dependent virgin decode)
-    // falls back to direct per-EMT recording, trading speed for exactness.
-    let mut mems: Vec<EmtMemory> = sc
-        .emts
-        .iter()
-        .map(|&emt| EmtMemory::new(emt, geometry))
-        .collect();
+    let snr = |output: &[i16]| cap_snr(snr_db(reference, &samples_to_f64(output)));
+    if let Some(trace) = RawTrace::record(app, &record.samples, app.memory_words()) {
+        return DrawPass::Shared(CleanPass {
+            snr: snr(trace.output()),
+            trace,
+        });
+    }
     let empty = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
-    let mut fallback_apps: Option<Vec<Box<dyn BiomedicalApp>>> = None;
-    let mut passes: CleanPasses = Vec::with_capacity(sc.emts.len());
-    for mem in &mut mems {
-        let mut per_app = Vec::with_capacity(sc.apps.len());
-        for ai in 0..sc.apps.len() {
-            let mut per_record = Vec::with_capacity(records.len());
-            for ri in 0..records.len() {
-                let trace = match &raws[ai * records.len() + ri] {
-                    Some(raw) => mem.derive_trace(raw),
-                    None => {
-                        let apps = fallback_apps.get_or_insert_with(scratch);
-                        mem.reset_with_fault_map(&empty);
-                        mem.record_trace(&*apps[ai], &records[ri].samples)
-                    }
-                };
-                let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(trace.output())));
-                telemetry::record_trace();
-                per_record.push(CleanPass { trace, snr });
-            }
-            per_app.push(per_record);
-        }
-        passes.push(per_app);
-    }
-    Ok(passes)
+    DrawPass::PerEmt(
+        sc.emts
+            .iter()
+            .map(|&emt| {
+                let mut mem = EmtMemory::new(emt, geometry);
+                mem.reset_with_fault_map(&empty);
+                let trace = mem.record_trace(app, &record.samples);
+                CleanPass {
+                    snr: snr(trace.output()),
+                    trace,
+                }
+            })
+            .collect(),
+    )
 }
 
 /// One grid point of a draw sweep: its seed coordinate (the point index
@@ -876,7 +885,7 @@ fn draw_group_batched(
             .map(|ai| {
                 let mut batch = TrialBatch::with_bailout(lanes, cfg.bailout);
                 for &(ri, mask) in &parts {
-                    mem.replay_trace(&clean[ei][ai][ri].trace, planes, &mut batch, mask);
+                    clean[ai][ri].replay(ei, mem, planes, &mut batch, mask);
                 }
                 let bailed = batch.bailed().count_ones();
                 telemetry::record_batch_pass(lanes, batch.evicted().count_ones() - bailed, bailed);
@@ -887,8 +896,8 @@ fn draw_group_batched(
             let mut armed = false;
             for (ai, (app, batch)) in apps.iter().zip(&batches).enumerate() {
                 let cell = if batch.is_alive(lane) {
-                    let pass = &clean[ei][ai][run % records.len()];
-                    Cell::observed(pass.snr, batch.lane_stats(lane, &pass.trace.stats()))
+                    let (snr, stats) = clean[ai][run % records.len()].clean(ei);
+                    Cell::observed(snr, batch.lane_stats(lane, &stats))
                 } else {
                     if !armed {
                         arm_lane(sc, point, run, suite, mem, &maps[lane]);
@@ -987,26 +996,58 @@ fn drawn_records(sc: &Scenario) -> usize {
 /// Double-precision reference outputs per (app, record).
 type References = Vec<Vec<Vec<f64>>>;
 
-/// Shared hoisted state of the draw families: apps, the geometry fitting
-/// the largest footprint, and per-(app, record) references.
-fn draw_shared(
-    sc: &Scenario,
-    records: &[Record],
-    threads: usize,
-) -> (Vec<Box<dyn BiomedicalApp>>, MemGeometry, References) {
-    let apps: Vec<Box<dyn BiomedicalApp>> =
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
-    let max_words = apps
+/// The geometry of a draw campaign: the one fitting its largest app
+/// footprint, since a run's fault map is shared by every app.
+fn draw_geometry(sc: &Scenario) -> MemGeometry {
+    let words = sc
+        .apps
         .iter()
-        .map(|a| a.memory_words())
+        .map(|&k| k.instantiate(sc.window).memory_words())
         .max()
         .expect("validated: at least one app");
-    let geometry = banked_geometry(max_words);
-    let references: Vec<Vec<Vec<f64>>> = apps
-        .iter()
-        .map(|app| reference_outputs_on(threads, &**app, records))
+    banked_geometry(words)
+}
+
+/// The per-(app, record) work of one draw suite, as one work list on the
+/// trial executor: each item computes the record's reference output
+/// under the app and, when the campaign batches, its clean pass
+/// ([`record_clean_pass`]). Returns both indexed `[app][record]`.
+fn prepare_suite(
+    sc: &Scenario,
+    records: &[Record],
+    geometry: MemGeometry,
+    cfg: ExecConfig,
+    cancel: Option<&CancelToken>,
+) -> Result<(References, Option<CleanPasses>), exec::Cancelled> {
+    let pairs: Vec<(usize, usize)> = (0..sc.apps.len())
+        .flat_map(|ai| (0..records.len()).map(move |ri| (ai, ri)))
         .collect();
-    (apps, geometry, references)
+    let scratch = || -> Vec<Box<dyn BiomedicalApp>> {
+        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect()
+    };
+    let items = exec::run_trials_cancellable(
+        cfg.threads,
+        &pairs,
+        scratch,
+        |apps, &(ai, ri), _| {
+            let app = &*apps[ai];
+            let reference = app.run_reference(&records[ri].samples);
+            let pass = cfg
+                .batch
+                .then(|| record_clean_pass(sc, app, &records[ri], &reference, geometry));
+            (reference, pass)
+        },
+        cancel,
+    )?;
+    let mut references: References = Vec::with_capacity(sc.apps.len());
+    let mut passes: CleanPasses = Vec::with_capacity(sc.apps.len());
+    let mut items = items.into_iter();
+    for _ in &sc.apps {
+        let (refs, app_passes): (Vec<_>, Vec<_>) = items.by_ref().take(records.len()).unzip();
+        references.push(refs);
+        passes.push(app_passes.into_iter().flatten().collect());
+    }
+    Ok((references, cfg.batch.then_some(passes)))
 }
 
 const FIG4_HEADERS: [&str; 7] = [
@@ -1041,21 +1082,10 @@ fn voltage_points(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Fig4Point>, EngineError> {
     let records = record_suite_with_noise(sc.window, drawn_records(sc), sc.noise_scale);
-    let (_apps, geometry, references) = draw_shared(sc, &records, cfg.threads);
-    // One clean pass per (EMT, app, record), shared by every voltage: each
-    // additional grid point pays only faulty-delta work.
-    let clean = if cfg.batch {
-        Some(record_clean_passes(
-            sc,
-            &records,
-            &references,
-            geometry,
-            cfg.threads,
-            cancel,
-        )?)
-    } else {
-        None
-    };
+    let geometry = draw_geometry(sc);
+    // One clean pass per (app, record), shared by every voltage and EMT:
+    // each additional grid point pays only faulty-delta work.
+    let (references, clean) = prepare_suite(sc, &records, geometry, cfg, cancel)?;
     let model = sc.fault.to_model();
     let points: Vec<DrawPoint> = voltages
         .iter()
@@ -1146,18 +1176,11 @@ fn run_noise(
     let mut typed = Vec::new();
     let mut rendered = Vec::new();
     // The apps (and hence the geometry) are scale-independent; the record
-    // suite and per-(app, record) references depend on the scale — and
-    // only on it. Consecutive grid points at one scale share one suite,
-    // so they pay for the reference computation exactly once, without
+    // suite, its per-(app, record) references and its clean passes depend
+    // on the scale — and only on it. Consecutive grid points at one scale
+    // share one suite, so they pay for that work exactly once, without
     // holding every suite of a long sweep in memory at once.
-    let apps: Vec<Box<dyn BiomedicalApp>> =
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
-    let geometry = banked_geometry(
-        apps.iter()
-            .map(|a| a.memory_words())
-            .max()
-            .expect("validated: at least one app"),
-    );
+    let geometry = draw_geometry(sc);
     // Each run of consecutive points at one scale is one draw sweep over
     // that scale's suite.
     let mut start = 0;
@@ -1169,23 +1192,7 @@ fn run_noise(
                 .take_while(|s| s.to_bits() == scale.to_bits())
                 .count();
         let records = record_suite_with_noise(sc.window, drawn_records(sc), scale);
-        let references: References = apps
-            .iter()
-            .map(|app| reference_outputs_on(cfg.threads, &**app, &records))
-            .collect();
-        // Clean passes follow the suite, like the references.
-        let clean = if cfg.batch {
-            Some(record_clean_passes(
-                sc,
-                &records,
-                &references,
-                geometry,
-                cfg.threads,
-                cancel,
-            )?)
-        } else {
-            None
-        };
+        let (references, clean) = prepare_suite(sc, &records, geometry, cfg, cancel)?;
         let points: Vec<DrawPoint> = (start..end)
             .map(|si| DrawPoint {
                 index: sc.point_offset + si,

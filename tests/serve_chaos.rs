@@ -388,6 +388,61 @@ fn a_panicking_campaign_fails_alone_and_the_worker_keeps_serving() {
 }
 
 #[test]
+fn panicking_request_handlers_answer_500_and_the_pool_keeps_serving() {
+    // More panicking requests than the server has handler threads: had a
+    // panic taken its thread down, the requests after the pool emptied
+    // would sit unanswered in the connection queue.
+    let panics = 12;
+    let addr = boot_with(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        store_dir: temp_store("handler-panic"),
+        workers: 1,
+        threads: 1,
+        hold: Some(TestHold::panic_handlers(panics)),
+        ..ServeConfig::default()
+    });
+    for i in 0..panics {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .expect("send");
+        let mut response = Vec::new();
+        stream
+            .read_to_end(&mut response)
+            .unwrap_or_else(|e| panic!("request {i}: no answer ({e})"));
+        // The hook panics before any response byte, so the handler's
+        // catch answers with a JSON 500 rather than a bare close.
+        let response = String::from_utf8_lossy(&response);
+        assert!(
+            response.starts_with("HTTP/1.1 500 "),
+            "request {i}: {response}"
+        );
+        assert!(
+            response.contains(
+                "{\"error\": \"request handler panicked: test hold: injected handler panic\"}"
+            ),
+            "request {i}: {response}"
+        );
+    }
+    // The budget is spent: every later request is served normally.
+    for _ in 0..4 {
+        let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
+        assert_eq!(health.status, 200);
+    }
+    let next = smoke_spec(0x0BAD, 1);
+    let served =
+        client_request(&addr, "POST", "/campaigns", next.to_json().as_bytes()).expect("POST next");
+    assert_eq!(served.status, 200);
+    assert_eq!(
+        String::from_utf8(served.body).expect("UTF-8"),
+        reference_jsonl(&next)
+    );
+}
+
+#[test]
 fn protocol_garbage_gets_json_errors_not_silent_drops() {
     let addr = boot_with(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
