@@ -60,5 +60,5 @@ pub use delineate::WaveletDelineation;
 pub use dwt::Dwt;
 pub use matfilt::MatrixFilter;
 pub use morpho::MorphologicalFilter;
-pub use snr::{samples_to_f64, snr_db};
+pub use snr::{samples_to_f64, snr_db, SnrReference};
 pub use storage::{VecStorage, WordStorage};

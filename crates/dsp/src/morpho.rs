@@ -22,7 +22,8 @@ use crate::WordStorage;
 /// Herk/Gil-Werman block scan: three min/max operations per sample and no
 /// data-dependent branch), so the whole app reads each buffer word once
 /// per stage — matching the fixed-trip streaming kernels used on sensor
-/// nodes.
+/// nodes. The double-precision reference runs the same scan, so it too
+/// costs O(n) whatever the structuring-element length.
 ///
 /// ```
 /// use dream_dsp::{BiomedicalApp, MorphologicalFilter, VecStorage};
@@ -92,20 +93,11 @@ fn make_odd(v: usize) -> usize {
     }
 }
 
-/// Sliding-window extreme over a memory region (centered window of length
-/// `window`, clamped at the edges) — streamed as one block load of the
-/// source window and one block store of the result (same cells, same
+/// Sliding-window extreme over a memory region (centered window of odd
+/// length `window`, clamped at the edges) — streamed as one block load of
+/// the source window and one block store of the result (same cells, same
 /// access counts as the word-at-a-time formulation; `src` and `dst` are
 /// always disjoint regions).
-///
-/// The van Herk/Gil-Werman scan: the source is padded by `window / 2`
-/// identity samples on each side (`i16::MAX` for a minimum, `i16::MIN`
-/// for a maximum), which makes the clamped window an ordinary one, and
-/// cut into blocks of `window` samples. A window then spans at most two
-/// blocks, so its extreme is the suffix extreme of its first sample's
-/// block combined with the prefix extreme of its last sample's block.
-/// Every step is a min or max — exact on integers, with no branch on the
-/// data.
 fn sliding_extreme(
     mem: &mut dyn WordStorage,
     src: usize,
@@ -114,30 +106,42 @@ fn sliding_extreme(
     window: usize,
     take_max: bool,
 ) {
+    let load = |padded: &mut [i16]| mem.read_block(src, padded);
     let out = if take_max {
-        block_scan(mem, src, n, window, i16::MIN, i16::max)
+        block_scan(load, n, window, i16::MIN, i16::max)
     } else {
-        block_scan(mem, src, n, window, i16::MAX, i16::min)
+        block_scan(load, n, window, i16::MAX, i16::min)
     };
     mem.write_block(dst, &out);
 }
 
-/// The [`sliding_extreme`] scan for one polarity: `pick` is `min` or
-/// `max` and `identity` its neutral element.
-fn block_scan(
-    mem: &mut dyn WordStorage,
-    src: usize,
+/// The van Herk/Gil-Werman scan behind both sliding extremes: `pick` is
+/// `min` or `max` and `identity` its neutral element, and `load` fills
+/// the `n` signal samples.
+///
+/// The signal is padded by `window / 2` identity samples on each side,
+/// which makes the clamped window an ordinary one, and cut into blocks of
+/// `window` samples. A window then spans at most two blocks, so its
+/// extreme is the suffix extreme of its first sample's block combined
+/// with the prefix extreme of its last sample's block: three `pick`s per
+/// sample, whatever the window, and no branch on the data. Every step is
+/// a min or max, so the result is exact wherever `pick` is associative
+/// and commutative on the samples (integers; finite floats other than
+/// −0.0).
+fn block_scan<T: Copy>(
+    load: impl FnOnce(&mut [T]),
     n: usize,
     window: usize,
-    identity: i16,
-    pick: impl Fn(i16, i16) -> i16,
-) -> Vec<i16> {
+    identity: T,
+    pick: impl Fn(T, T) -> T,
+) -> Vec<T> {
+    debug_assert!(window % 2 == 1, "window {window} is not centered");
     let half = window / 2;
     // Whole blocks over the padded signal: every window [i, i + window)
     // of the padded samples stays inside them.
     let padded = (n + 2 * half).div_ceil(window) * window;
     let mut suffix = vec![identity; padded];
-    mem.read_block(src, &mut suffix[half..half + n]);
+    load(&mut suffix[half..half + n]);
     let mut prefix = suffix.clone();
     for block in prefix.chunks_exact_mut(window) {
         for j in 1..block.len() {
@@ -175,22 +179,18 @@ fn combine(
     mem.write_block(dst, &wa);
 }
 
-/// Float reference of [`sliding_extreme`].
+/// Float reference of [`sliding_extreme`]: the same [`block_scan`], padded
+/// with `f64::MIN`/`f64::MAX`. Exact, because the reference's samples
+/// are finite and never −0.0 (integer inputs, their half-sums and their
+/// extremes), so `f64::max`/`f64::min` are associative and commutative on
+/// them.
 fn sliding_extreme_f64(x: &[f64], window: usize, take_max: bool) -> Vec<f64> {
-    let n = x.len();
-    let half = window / 2;
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half).min(n - 1);
-            let slice = &x[lo..=hi];
-            if take_max {
-                slice.iter().cloned().fold(f64::MIN, f64::max)
-            } else {
-                slice.iter().cloned().fold(f64::MAX, f64::min)
-            }
-        })
-        .collect()
+    let load = |padded: &mut [f64]| padded.copy_from_slice(x);
+    if take_max {
+        block_scan(load, x.len(), window, f64::MIN, f64::max)
+    } else {
+        block_scan(load, x.len(), window, f64::MAX, f64::min)
+    }
 }
 
 impl BiomedicalApp for MorphologicalFilter {
@@ -361,6 +361,81 @@ mod tests {
                             *s.iter().min().expect("non-empty window")
                         }
                     })
+                    .collect();
+                prop_assert_eq!(got, want, "n {} window {} max {}", n, window, take_max);
+            }
+        }
+    }
+
+    mod reference_props {
+        use super::super::sliding_extreme_f64;
+        use proptest::prelude::*;
+
+        /// The naive clamped-window fold the reference used before the
+        /// block scan: the oracle.
+        fn naive(x: &[f64], window: usize, take_max: bool) -> Vec<f64> {
+            let (n, half) = (x.len(), window / 2);
+            (0..n)
+                .map(|i| {
+                    let s = &x[i.saturating_sub(half)..=(i + half).min(n - 1)];
+                    if take_max {
+                        s.iter().cloned().fold(f64::MIN, f64::max)
+                    } else {
+                        s.iter().cloned().fold(f64::MAX, f64::min)
+                    }
+                })
+                .collect()
+        }
+
+        /// Finite samples, never −0.0: the padding identities
+        /// `f64::MIN`/`f64::MAX`, their neighbours, integers (what the app
+        /// feeds the reference), half-integers, and arbitrary magnitudes.
+        fn sample() -> impl Strategy<Value = f64> {
+            (0u8..6, any::<i16>(), any::<f64>()).prop_map(|(pick, v, f)| match pick {
+                0 => f64::MIN,
+                1 => f64::MAX,
+                2 => f64::from(v % 4),
+                3 => f64::from(v) / 2.0,
+                4 => f64::from(v) * 1e-3,
+                // `f` is uniform in [0, 1): magnitudes up to 5e307 of
+                // either sign, and +0.0 at f = 0.5.
+                _ => (f - 0.5) * 1e308,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// The van Herk/Gil-Werman float reference equals the naive
+            /// clamped fold bit for bit, for every length, every odd
+            /// window from 1 to `2n + 1` and both polarities.
+            #[test]
+            fn float_block_scan_matches_the_naive_clamped_fold(
+                data in prop::collection::vec(sample(), 1..301),
+                sign in 0u8..3,
+                window_pick in (any::<bool>(), any::<usize>()),
+                take_max in any::<bool>(),
+            ) {
+                // One signal in three is all non-positive and one all
+                // non-negative, so edge windows whose every sample is below
+                // (or above) any padding value the scan might use are common.
+                let data: Vec<f64> = data
+                    .into_iter()
+                    .map(|x| match sign {
+                        0 if x > 0.0 => -x,
+                        1 if x < 0.0 => -x,
+                        _ => x,
+                    })
+                    .collect();
+                let n = data.len();
+                let (small, w) = window_pick;
+                let window = 2 * (w % if small { 3 } else { n + 1 }) + 1;
+                let got: Vec<u64> = sliding_extreme_f64(&data, window, take_max)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let want: Vec<u64> = naive(&data, window, take_max)
+                    .iter()
+                    .map(|v| v.to_bits())
                     .collect();
                 prop_assert_eq!(got, want, "n {} window {} max {}", n, window, take_max);
             }

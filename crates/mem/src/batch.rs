@@ -20,7 +20,10 @@
 //! majority of addresses carry no fault in any lane, so plane entries are
 //! allocated only for addresses some lane actually corrupts, with a dense
 //! per-address lane mask ([`BatchFaultPlanes::dirty_mask`]) deciding in
-//! O(1) whether a read needs the overlay at all.
+//! O(1) whether a read needs the overlay at all. The touched addresses
+//! themselves are kept in ascending order ([`BatchFaultPlanes::touched`]),
+//! so a replay can walk just them instead of every recorded read, and a
+//! re-arm ([`BatchFaultPlanes::clear`]) resets just them.
 
 use crate::{AddressScrambler, FaultMap, StuckAt};
 
@@ -52,6 +55,9 @@ pub struct BatchFaultPlanes {
     dirty: Vec<u64>,
     /// Per logical address: index into the plane arena, or `CLEAN`.
     slot: Vec<u32>,
+    /// One bit per logical address, set exactly when its `slot` is
+    /// allocated: the touched addresses, ascending.
+    touched: Vec<u64>,
     /// Stuck-cell masks, `width` planes per allocated entry: bit *l* of
     /// plane *p* says lane *l* has a stuck cell at bit *p*.
     sm: Vec<u64>,
@@ -77,17 +83,26 @@ impl BatchFaultPlanes {
             lanes: 0,
             dirty: vec![0; words],
             slot: vec![CLEAN; words],
+            touched: vec![0; words.div_ceil(64)],
             sm: Vec::new(),
             sv: Vec::new(),
         }
     }
 
     /// Removes every fault and lane, keeping the allocations — the
-    /// per-batch re-arm path.
+    /// per-batch re-arm path. Resets only the touched addresses: O(touched
+    /// + words / 64), not O(words).
     pub fn clear(&mut self) {
         self.lanes = 0;
-        self.dirty.fill(0);
-        self.slot.fill(CLEAN);
+        for chunk in 0..self.touched.len() {
+            let mut bits = std::mem::take(&mut self.touched[chunk]);
+            while bits != 0 {
+                let addr = chunk * 64 + bits.trailing_zeros() as usize;
+                self.dirty[addr] = 0;
+                self.slot[addr] = CLEAN;
+                bits &= bits - 1;
+            }
+        }
         self.sm.clear();
         self.sv.clear();
     }
@@ -107,9 +122,12 @@ impl BatchFaultPlanes {
         self.lanes
     }
 
+    /// The plane-arena offset of `addr`, allocating its entry (and
+    /// marking it touched) on first use.
     fn entry(&mut self, addr: usize) -> usize {
         assert!(addr < self.words, "address out of range");
         if self.slot[addr] == CLEAN {
+            self.touched[addr / 64] |= 1 << (addr % 64);
             self.slot[addr] = u32::try_from(self.sm.len() / self.width as usize)
                 .expect("plane arena exceeds u32 entries");
             self.sm.resize(self.sm.len() + self.width as usize, 0);
@@ -175,6 +193,40 @@ impl BatchFaultPlanes {
                 self.sv[base + bit as usize] &= !l;
             }
         }
+    }
+
+    /// The logical addresses at which some lane has a stuck cell, in
+    /// ascending order: exactly those with a nonzero
+    /// [`BatchFaultPlanes::dirty_mask`]. Kept by [`BatchFaultPlanes::inject`],
+    /// [`BatchFaultPlanes::add_lane`] and [`BatchFaultPlanes::clear`]
+    /// themselves, so it holds after any sequence of them. Costs
+    /// O(touched + words / 64).
+    ///
+    /// ```
+    /// use dream_mem::{BatchFaultPlanes, StuckAt};
+    ///
+    /// let mut planes = BatchFaultPlanes::new(200, 16);
+    /// planes.inject(2, 130, 4, StuckAt::One);
+    /// planes.inject(0, 7, 0, StuckAt::Zero);
+    /// planes.inject(1, 130, 9, StuckAt::Zero);
+    /// assert_eq!(planes.touched().collect::<Vec<_>>(), [7, 130]);
+    /// ```
+    pub fn touched(&self) -> impl Iterator<Item = usize> + '_ {
+        self.touched
+            .iter()
+            .enumerate()
+            .filter(|(_, &bits)| bits != 0)
+            .flat_map(|(chunk, &bits)| {
+                let mut rest = bits;
+                std::iter::from_fn(move || {
+                    if rest == 0 {
+                        return None;
+                    }
+                    let addr = chunk * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    Some(addr)
+                })
+            })
     }
 
     /// Which lanes have at least one stuck cell at logical `addr`.
@@ -343,6 +395,87 @@ mod tests {
         planes.inject(0, 1, 7, StuckAt::One);
         planes.inject(0, 1, 7, StuckAt::Zero);
         assert_eq!(lane_view(&planes, 1, 0xFFFF, 0, 16), 0xFFFF & !(1 << 7));
+    }
+
+    mod touched_props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// One build step: a whole lane from a generated map (optionally
+        /// scrambled), a single stuck cell, or a re-arm.
+        #[derive(Clone, Debug)]
+        enum Step {
+            AddLane {
+                lane: usize,
+                seed: u64,
+                scramble: Option<u64>,
+            },
+            Inject(usize, usize, u32, bool),
+            Clear,
+        }
+
+        const WORDS: usize = 150;
+
+        fn step() -> impl Strategy<Value = Step> {
+            (
+                0u8..8,
+                0usize..MAX_LANES,
+                any::<u64>(),
+                0usize..WORDS,
+                0u32..22,
+                any::<bool>(),
+            )
+                .prop_map(|(kind, lane, seed, addr, bit, one)| match kind {
+                    0..=2 => Step::AddLane {
+                        lane,
+                        seed,
+                        scramble: one.then_some(seed.rotate_left(17)),
+                    },
+                    3..=6 => Step::Inject(lane, addr, bit, one),
+                    _ => Step::Clear,
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// After any interleaving of `add_lane`, `inject` and `clear`,
+            /// `touched()` lists, ascending, exactly the addresses with a
+            /// nonzero dirty mask, and the overlay of every other address
+            /// is the broadcast code.
+            #[test]
+            fn touched_is_the_ascending_dirty_set(
+                steps in prop::collection::vec(step(), 0..24),
+                width in 1u32..=22,
+            ) {
+                let mut planes = BatchFaultPlanes::new(WORDS, width);
+                for step in steps {
+                    match step {
+                        Step::AddLane { lane, seed, scramble } => {
+                            let map = FaultMap::generate(WORDS, 22, 0.004, seed);
+                            let scrambler = scramble.map(|key| AddressScrambler::new(WORDS, key));
+                            planes.add_lane(lane, &map, scrambler.as_ref());
+                        }
+                        Step::Inject(lane, addr, bit, one) => {
+                            let stuck = if one { StuckAt::One } else { StuckAt::Zero };
+                            planes.inject(lane, addr, bit % width, stuck);
+                        }
+                        Step::Clear => planes.clear(),
+                    }
+                    let touched: Vec<usize> = planes.touched().collect();
+                    let dirty: Vec<usize> =
+                        (0..WORDS).filter(|&a| planes.dirty_mask(a) != 0).collect();
+                    prop_assert_eq!(&touched, &dirty);
+                    for addr in (0..WORDS).filter(|a| touched.binary_search(a).is_err()) {
+                        let mut out = vec![0u64; width as usize];
+                        planes.overlay(addr, 0x2A_55AA, &mut out);
+                        for (p, plane) in out.iter().enumerate() {
+                            let want = 0u64.wrapping_sub(u64::from((0x2A_55AAu32 >> p) & 1));
+                            prop_assert_eq!(*plane, want, "addr {} plane {}", addr, p);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

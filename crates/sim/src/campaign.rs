@@ -6,7 +6,7 @@ use dream_core::{
     NoProtection, ProtectedMemory, TrialBatch,
 };
 use dream_dsp::{BiomedicalApp, WordStorage};
-use dream_ecg::{Database, Record};
+use dream_ecg::{Database, NoiseModel, Record};
 use dream_mem::{BatchFaultPlanes, FaultMap, MemGeometry, MAX_LANES};
 
 use crate::exec::{self, ExecConfig};
@@ -66,11 +66,24 @@ pub fn record_suite(window: usize, max_records: usize) -> Vec<Record> {
 /// Records are seeded by their id, so only the first `max_records` are
 /// synthesized: the result equals the full suite truncated.
 pub fn record_suite_with_noise(window: usize, max_records: usize, noise_scale: f64) -> Vec<Record> {
-    let model = dream_ecg::NoiseModel::date16().scaled(noise_scale);
-    (Database::FIRST_ID..)
-        .take(max_records.min(Database::SUITE_SIZE))
-        .map(|id| Database::record_with_noise(id, window, &model))
+    let model = NoiseModel::date16().scaled(noise_scale);
+    (0..max_records.min(Database::SUITE_SIZE))
+        .map(|index| suite_record(window, index, &model))
         .collect()
+}
+
+/// Record `index` of the suite under the noise `model`: entry `index` of
+/// [`record_suite_with_noise`] at the model's scale, synthesized alone.
+///
+/// # Panics
+///
+/// Panics if `index` is not below [`Database::SUITE_SIZE`].
+pub(crate) fn suite_record(window: usize, index: usize, model: &NoiseModel) -> Record {
+    assert!(
+        index < Database::SUITE_SIZE,
+        "suite index {index} out of range"
+    );
+    Database::record_with_noise(Database::FIRST_ID + index as u16, window, model)
 }
 
 /// Double-precision reference outputs (`x_theo` of Formula 1) of `app`
@@ -538,13 +551,22 @@ fn decode_lanes<C: EmtCodec + ?Sized>(
 }
 
 /// One aggregated read event of a raw (codec-agnostic) clean pass: while
-/// the *logical word* at `addr` was `word`, the pass read the address
-/// `count` times.
-#[derive(Clone, Copy, Debug)]
+/// the *logical word* at its address was `word`, the pass read the
+/// address `count` times. The address is the event's group in
+/// [`RawTrace`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RawEvent {
+    count: u32,
+    word: i16,
+}
+
+/// One closed read epoch of a raw recording, in program order: `count`
+/// reads of `addr` while it held `word`.
+#[derive(Clone, Copy)]
+struct RawEpoch {
     addr: u32,
     word: i16,
-    count: u64,
+    count: u32,
 }
 
 /// A codec-agnostic clean pass: the application run over plain word
@@ -566,12 +588,21 @@ struct RawEvent {
 /// read-before-write and returns `None`, making the caller fall back to
 /// per-EMT [`EmtMemory::record_trace`] — exactness is never assumed.
 ///
+/// Events are indexed by address: `events[offsets[a]..offsets[a + 1]]`
+/// are address `a`'s, one per distinct word it was read holding, in the
+/// order the pass first read each. An event is 8 bytes (a count and a
+/// word), and the index 4 bytes per word of the app's footprint. So a
+/// replay visits only the addresses its lanes' faults touch
+/// ([`BatchFaultPlanes::touched`]), in the same ascending (address,
+/// epoch) order a full scan would.
+///
 /// Recording is flat: a read only bumps its address's pending count (a
-/// block read, one pass over a slice), and the count is folded into one
-/// `Epochs` list when the address is next written or the pass ends. No
-/// allocation is made per address, and one counting sort puts the events
-/// in (address, epoch) order at the end.
+/// block read, one pass over a slice), and a write closes the address's
+/// epoch into a log in program order. One counting pass over the log
+/// then groups the epochs by address and merges each repeat of a word
+/// into that word's first event. No allocation is made per address.
 pub struct RawTrace {
+    offsets: Vec<u32>,
     events: Vec<RawEvent>,
     output: Vec<i16>,
     reads: u64,
@@ -583,38 +614,39 @@ impl RawTrace {
     /// (at least `app.memory_words()`; the engine passes exactly that),
     /// recording word epochs per address. Returns `None` if the app read
     /// an address before writing it (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pass makes more than `u32::MAX` reads.
     pub fn record(app: &dyn BiomedicalApp, input: &[i16], words: usize) -> Option<RawTrace> {
         struct Recorder {
             values: Vec<i16>,
             written: Vec<bool>,
-            // Reads of each address's current word not yet folded into
-            // its epoch event: a read is one increment, and a block read
-            // one pass over a slice.
-            pending: Vec<u64>,
-            epochs: Epochs<RawEvent>,
+            // Reads of each address's current word since its epoch
+            // opened: a read is one increment, and a block read one pass
+            // over a slice.
+            pending: Vec<u32>,
+            log: Vec<RawEpoch>,
             reads: u64,
             writes: u64,
             premature: bool,
         }
         impl Recorder {
-            /// Folds the pending reads of `addr` into the event of its
-            /// current word; called before the word changes, and once for
-            /// every address at the end.
+            /// Closes the read epoch of `addr` into the log; called
+            /// before the word changes, and once for every address at
+            /// the end.
             #[inline]
-            fn settle(&mut self, addr: usize) {
-                let reads = std::mem::take(&mut self.pending[addr]);
-                if reads == 0 {
+            fn close(&mut self, addr: usize) {
+                let count = std::mem::take(&mut self.pending[addr]);
+                if count == 0 {
                     return;
                 }
                 self.premature |= !self.written[addr];
-                let word = self.values[addr];
-                let fresh = || RawEvent {
+                self.log.push(RawEpoch {
                     addr: addr as u32,
-                    word,
-                    count: 0,
-                };
-                let i = self.epochs.find_or_push(addr, |e| e.word == word, fresh);
-                self.epochs.events[i].count += reads;
+                    word: self.values[addr],
+                    count,
+                });
             }
         }
         impl WordStorage for Recorder {
@@ -630,7 +662,7 @@ impl RawTrace {
 
             fn write(&mut self, addr: usize, value: i16) {
                 self.writes += 1;
-                self.settle(addr);
+                self.close(addr);
                 self.written[addr] = true;
                 self.values[addr] = value;
             }
@@ -639,7 +671,7 @@ impl RawTrace {
                 let range = base..base + data.len();
                 self.writes += data.len() as u64;
                 for addr in range.clone() {
-                    self.settle(addr);
+                    self.close(addr);
                 }
                 self.written[range.clone()].fill(true);
                 self.values[range].copy_from_slice(data);
@@ -658,24 +690,43 @@ impl RawTrace {
             values: vec![0; words],
             written: vec![false; words],
             pending: vec![0; words],
-            epochs: Epochs::new(words),
+            log: Vec::new(),
             reads: 0,
             writes: 0,
             premature: false,
         };
         let output = app.run(input, &mut recorder);
+        // Every count is at most the pass's reads, so none has wrapped.
+        assert!(
+            recorder.reads <= u64::from(u32::MAX),
+            "{} reads overflow a raw event's count",
+            recorder.reads
+        );
         for addr in 0..words {
-            recorder.settle(addr);
+            recorder.close(addr);
         }
         if recorder.premature {
             return None;
         }
+        let (offsets, events) = group_epochs(&recorder.log, words);
         Some(RawTrace {
-            events: recorder.epochs.by_address(|e| e.addr as usize),
+            offsets,
+            events,
             output,
             reads: recorder.reads,
             writes: recorder.writes,
         })
+    }
+
+    /// Number of addresses the trace indexes (its recording's `words`).
+    fn words(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The events of `addr`, in first-read order.
+    #[inline]
+    fn events_at(&self, addr: usize) -> &[RawEvent] {
+        &self.events[self.offsets[addr] as usize..self.offsets[addr + 1] as usize]
     }
 
     /// The raw pass's output samples — identical to every EMT's clean
@@ -703,6 +754,12 @@ impl RawTrace {
     /// `codec` before the overlay and batched decode. The clean outcome
     /// is always `Clean`. Lanes leave at no recorded stage, since the
     /// draw family re-runs evicted lanes from stage 0.
+    ///
+    /// Only the addresses `planes` marks touched are visited, ascending,
+    /// so the cost follows the faults, not the trace. Every skipped event
+    /// has no dirty lane, so the batch sees the same
+    /// [`TrialBatch::record_read`] sequence as a scan of every event in
+    /// (address, epoch) order, and bails out identically.
     fn replay<C: EmtCodec + ?Sized>(
         &self,
         codec: &C,
@@ -711,27 +768,83 @@ impl RawTrace {
         lanes: u64,
     ) {
         let mut word_planes = [0u64; 32];
-        for e in &self.events {
-            let alive = batch.alive();
-            let active = planes.dirty_mask(e.addr as usize) & alive & lanes;
-            if active == 0 {
+        for addr in planes.touched() {
+            if addr >= self.words() {
+                break;
+            }
+            let dirty = planes.dirty_mask(addr);
+            for e in self.events_at(addr) {
+                let alive = batch.alive();
                 if alive & lanes == 0 {
+                    return;
+                }
+                // Lanes only ever leave, so once no alive lane of the
+                // sub-group is dirty here, none is for this address.
+                let active = dirty & alive & lanes;
+                if active == 0 {
                     break;
                 }
-                continue;
+                let stored = codec.encode(e.word);
+                let d = decode_lanes(codec, planes, addr as u32, stored, e.word, &mut word_planes);
+                batch.record_read(
+                    active,
+                    d.diverged,
+                    d.corrected,
+                    d.uncorrectable,
+                    DecodeOutcome::Clean,
+                    u64::from(e.count),
+                );
             }
-            let stored = codec.encode(e.word);
-            let d = decode_lanes(codec, planes, e.addr, stored, e.word, &mut word_planes);
-            batch.record_read(
-                active,
-                d.diverged,
-                d.corrected,
-                d.uncorrectable,
-                DecodeOutcome::Clean,
-                e.count,
-            );
         }
     }
+}
+
+/// Groups a raw recording's epoch `log` (program order) by address for
+/// [`RawTrace`]: one counting pass, stable within an address, then each
+/// repeat of a word merges into that word's first event. Returns the
+/// `words + 1` offsets and the events.
+fn group_epochs(log: &[RawEpoch], words: usize) -> (Vec<u32>, Vec<RawEvent>) {
+    let total = u32::try_from(log.len()).expect("too many raw trace epochs");
+    let mut offsets = vec![0u32; words + 1];
+    for e in log {
+        offsets[e.addr as usize + 1] += 1;
+    }
+    for a in 1..=words {
+        offsets[a] += offsets[a - 1];
+    }
+    debug_assert_eq!(offsets[words], total);
+    let mut next = offsets.clone();
+    let mut events = vec![RawEvent::default(); log.len()];
+    for e in log {
+        let slot = &mut next[e.addr as usize];
+        events[*slot as usize] = RawEvent {
+            count: e.count,
+            word: e.word,
+        };
+        *slot += 1;
+    }
+    // Merge in place: an address's distinct words are few, and the kept
+    // events never overtake the epochs still to be read.
+    let mut kept = 0usize;
+    for a in 0..words {
+        let (begin, end) = (offsets[a] as usize, offsets[a + 1] as usize);
+        offsets[a] = kept as u32;
+        let first = kept;
+        for i in begin..end {
+            let e = events[i];
+            match events[first..kept].iter_mut().find(|f| f.word == e.word) {
+                Some(f) => f.count += e.count,
+                None => {
+                    events[kept] = e;
+                    kept += 1;
+                }
+            }
+        }
+    }
+    offsets[words] = kept as u32;
+    events.truncate(kept);
+    events.shrink_to_fit();
+    (offsets, events)
 }
 
 impl CleanTrace {
@@ -748,26 +861,26 @@ impl CleanTrace {
     fn derive<C: EmtCodec>(codec: &C, raw: &RawTrace) -> CleanTrace {
         let mut corrected = 0u64;
         let mut uncorrectable = 0u64;
-        let events = raw
-            .events
-            .iter()
-            .map(|e| {
+        let events = (0..raw.words())
+            .flat_map(|addr| raw.events_at(addr).iter().map(move |e| (addr, e)))
+            .map(|(addr, e)| {
+                let count = u64::from(e.count);
                 let enc = codec.encode(e.word);
                 let d = codec.decode(enc.code, enc.side);
                 debug_assert_eq!(d.word, e.word, "codec does not round-trip {}", e.word);
                 match d.outcome {
-                    DecodeOutcome::Corrected => corrected += e.count,
-                    DecodeOutcome::DetectedUncorrectable => uncorrectable += e.count,
+                    DecodeOutcome::Corrected => corrected += count,
+                    DecodeOutcome::DetectedUncorrectable => uncorrectable += count,
                     DecodeOutcome::Clean => {}
                 }
                 TraceEvent {
-                    addr: e.addr,
+                    addr: addr as u32,
                     code: enc.code,
                     side: enc.side,
                     word: e.word,
                     outcome: d.outcome,
                     stage: 0,
-                    count: e.count,
+                    count,
                 }
             })
             .collect();
@@ -1444,8 +1557,254 @@ mod tests {
         }
     }
 
+    /// Cases per recorder and replay property: 64, or `PROPTEST_CASES`
+    /// when set (CI's full-scale job runs 2048).
+    fn property_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+    }
+
+    /// The raw recorder before it went flat, kept as the test oracle: one
+    /// [`Epochs`] list, each read epoch folded into its address's event of
+    /// the same word (or a new one) as the epoch closes, and one counting
+    /// sort by address at the end. Returns `(address, word, count)` in
+    /// (address, first-read) order, or `None` on a read before a write.
+    fn epochs_raw_events(
+        app: &dyn BiomedicalApp,
+        input: &[i16],
+        words: usize,
+    ) -> Option<Vec<(u32, i16, u64)>> {
+        struct Recorder {
+            values: Vec<i16>,
+            written: Vec<bool>,
+            pending: Vec<u64>,
+            epochs: Epochs<(u32, i16, u64)>,
+            premature: bool,
+        }
+        impl Recorder {
+            fn settle(&mut self, addr: usize) {
+                let reads = std::mem::take(&mut self.pending[addr]);
+                if reads == 0 {
+                    return;
+                }
+                self.premature |= !self.written[addr];
+                let word = self.values[addr];
+                let fresh = || (addr as u32, word, 0);
+                let i = self.epochs.find_or_push(addr, |e| e.1 == word, fresh);
+                self.epochs.events[i].2 += reads;
+            }
+        }
+        impl WordStorage for Recorder {
+            fn len(&self) -> usize {
+                self.values.len()
+            }
+            fn read(&mut self, addr: usize) -> i16 {
+                self.pending[addr] += 1;
+                self.values[addr]
+            }
+            fn write(&mut self, addr: usize, value: i16) {
+                self.settle(addr);
+                self.written[addr] = true;
+                self.values[addr] = value;
+            }
+        }
+        let mut recorder = Recorder {
+            values: vec![0; words],
+            written: vec![false; words],
+            pending: vec![0; words],
+            epochs: Epochs::new(words),
+            premature: false,
+        };
+        app.run(input, &mut recorder);
+        for addr in 0..words {
+            recorder.settle(addr);
+        }
+        (!recorder.premature).then(|| recorder.epochs.by_address(|e| e.0 as usize))
+    }
+
+    /// `raw`'s events flattened to `(address, word, count)`.
+    fn raw_events(raw: &RawTrace) -> Vec<(u32, i16, u64)> {
+        (0..raw.words())
+            .flat_map(|a| {
+                raw.events_at(a)
+                    .iter()
+                    .map(move |e| (a as u32, e.word, u64::from(e.count)))
+            })
+            .collect()
+    }
+
+    /// The raw replay before it went sparse, kept as the test oracle:
+    /// every event of every address, in (address, epoch) order.
+    fn replay_full_scan<C: EmtCodec + ?Sized>(
+        raw: &RawTrace,
+        codec: &C,
+        planes: &BatchFaultPlanes,
+        batch: &mut TrialBatch,
+        lanes: u64,
+    ) {
+        let mut word_planes = [0u64; 32];
+        for (addr, word, count) in raw_events(raw) {
+            let alive = batch.alive();
+            let active = planes.dirty_mask(addr as usize) & alive & lanes;
+            if active == 0 {
+                if alive & lanes == 0 {
+                    break;
+                }
+                continue;
+            }
+            let stored = codec.encode(word);
+            let d = decode_lanes(codec, planes, addr, stored, word, &mut word_planes);
+            batch.record_read(
+                active,
+                d.diverged,
+                d.corrected,
+                d.uncorrectable,
+                DecodeOutcome::Clean,
+                count,
+            );
+        }
+    }
+
+    #[test]
+    fn raw_recorders_agree_on_every_app() {
+        // The flat recorder against the epochs oracle on the real apps,
+        // whose traces are far larger than any script's.
+        for app_kind in dream_dsp::AppKind::extended() {
+            let app = app_kind.instantiate(512);
+            let samples = record_suite(512, 1)[0].samples.clone();
+            for words in [
+                app.memory_words(),
+                banked_geometry(app.memory_words()).words(),
+            ] {
+                let raw = RawTrace::record(&*app, &samples, words);
+                let oracle = epochs_raw_events(&*app, &samples, words);
+                assert_eq!(raw.as_ref().map(raw_events), oracle, "{app_kind:?}");
+            }
+        }
+    }
+
+    /// One step of a [`BatchFaultPlanes`] build: a whole generated lane
+    /// (optionally scrambled), one stuck cell, or a re-arm.
+    #[derive(Clone, Debug)]
+    enum PlaneStep {
+        AddLane(usize, u64, bool),
+        Inject(usize, usize, u32, bool),
+        Clear,
+    }
+
+    fn plane_steps() -> impl proptest::prelude::Strategy<Value = Vec<PlaneStep>> {
+        use proptest::prelude::Strategy;
+        proptest::prop::collection::vec(
+            (
+                0u8..8,
+                0usize..MAX_LANES,
+                proptest::any::<u64>(),
+                0usize..SCRIPT_WORDS,
+                0u32..22,
+                proptest::any::<bool>(),
+            )
+                .prop_map(|(kind, lane, seed, addr, bit, one)| match kind {
+                    0..=2 => PlaneStep::AddLane(lane, seed, one),
+                    3..=6 => PlaneStep::Inject(lane, addr, bit, one),
+                    _ => PlaneStep::Clear,
+                }),
+            0..24,
+        )
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(property_cases()))]
+
+        #[test]
+        fn flat_recorder_matches_the_epochs_recorder(
+            init in proptest::prop::collection::vec(-3i16..=3, SCRIPT_WORDS),
+            script in script_ops(),
+            restore in (0usize..SCRIPT_WORDS, -3i16..=3),
+            skip_init in proptest::any::<bool>(),
+        ) {
+            // The same events, in the same order, with the same counts;
+            // and both reject a read before a write (scripts without
+            // their initial block write may read a virgin word).
+            let mut app = scripted_app(init, script, restore);
+            if skip_init {
+                app.stages[0].remove(0);
+            }
+            // Wider than the app: the tail addresses are never read.
+            let words = SCRIPT_WORDS + 5;
+            let raw = RawTrace::record(&app, &[], words);
+            let oracle = epochs_raw_events(&app, &[], words);
+            proptest::prop_assert_eq!(raw.as_ref().map(raw_events), oracle);
+            if let Some(raw) = raw {
+                proptest::prop_assert_eq!(raw.offsets.len(), words + 1);
+                proptest::prop_assert_eq!(raw.events.len(), app.read_pairs().len());
+            }
+        }
+
+        #[test]
+        fn sparse_raw_replay_matches_a_full_scan(
+            init in proptest::prop::collection::vec(-3i16..=3, SCRIPT_WORDS),
+            script in script_ops(),
+            restore in (0usize..SCRIPT_WORDS, -3i16..=3),
+            steps in plane_steps(),
+            masks in (proptest::any::<u64>(), proptest::any::<u64>()),
+            bailout in 0.0f64..=1.0,
+        ) {
+            // Planes built by any interleaving of `add_lane`, `inject` and
+            // `clear` (on a geometry wider than the trace, so some faults
+            // lie past its last address) replay the raw trace exactly as a
+            // scan of every event does: the same alive, evicted and bailed
+            // lanes and every lane's statistics, at any bail-out, for two
+            // masked sub-groups.
+            let app = scripted_app(init, script, restore);
+            let raw = RawTrace::record(&app, &[], app.memory_words())
+                .expect("the script writes every word first");
+            let words = 2 * SCRIPT_WORDS;
+            let mut planes = BatchFaultPlanes::new(words, 22);
+            for step in steps {
+                match step {
+                    PlaneStep::AddLane(lane, seed, scramble) => {
+                        let map = FaultMap::generate(words, 22, 0.01, seed);
+                        let scrambler = scramble.then(|| dream_mem::AddressScrambler::new(words, seed));
+                        planes.add_lane(lane, &map, scrambler.as_ref());
+                    }
+                    PlaneStep::Inject(lane, addr, bit, one) => {
+                        let stuck = if one { StuckAt::One } else { StuckAt::Zero };
+                        planes.inject(lane, addr, bit, stuck);
+                    }
+                    PlaneStep::Clear => planes.clear(),
+                }
+            }
+            let lanes = planes.lanes().max(1);
+            let all = u64::MAX >> (MAX_LANES - lanes);
+            let (replayed, split) = masks;
+            let masks = [replayed & split & all, replayed & !split & all];
+            for kind in EmtKind::all() {
+                let mem = EmtMemory::new(kind, banked_geometry(words));
+                let mut sparse = TrialBatch::with_bailout(lanes, bailout);
+                let mut full = TrialBatch::with_bailout(lanes, bailout);
+                for mask in masks {
+                    mem.replay_raw_trace(&raw, &planes, &mut sparse, mask);
+                    match &mem {
+                        EmtMemory::None(m) => replay_full_scan(&raw, m.codec(), &planes, &mut full, mask),
+                        EmtMemory::Parity(m) => replay_full_scan(&raw, m.codec(), &planes, &mut full, mask),
+                        EmtMemory::Dream(m) => replay_full_scan(&raw, m.codec(), &planes, &mut full, mask),
+                        EmtMemory::Ecc(m) => replay_full_scan(&raw, m.codec(), &planes, &mut full, mask),
+                    }
+                }
+                proptest::prop_assert_eq!(sparse.alive(), full.alive(), "{}", kind);
+                proptest::prop_assert_eq!(sparse.evicted(), full.evicted(), "{}", kind);
+                proptest::prop_assert_eq!(sparse.bailed(), full.bailed(), "{}", kind);
+                for lane in 0..lanes {
+                    proptest::prop_assert_eq!(
+                        sparse.lane_stats(lane, &raw.stats()),
+                        full.lane_stats(lane, &raw.stats()),
+                        "{} lane {}", kind, lane
+                    );
+                }
+            }
+        }
 
         #[test]
         fn flat_recorders_match_for_arbitrary_scripts(

@@ -19,7 +19,7 @@
 use std::io;
 
 use dream_core::{AccessStats, EmtKind, TrialBatch};
-use dream_dsp::{samples_to_f64, snr_db, AppKind, BiomedicalApp};
+use dream_dsp::{AppKind, BiomedicalApp, SnrReference};
 use dream_ecg::Record;
 use dream_energy::EnergyBreakdown;
 use dream_mem::{
@@ -31,7 +31,7 @@ use dream_soc::{Soc, SocConfig};
 use crate::ablation;
 use crate::campaign::{
     banked_geometry, cap_snr, fault_seed, record_suite_with_noise, reference_outputs_on,
-    CleanTrace, EmtMemory, RawTrace,
+    suite_record, CleanTrace, EmtMemory, RawTrace,
 };
 use crate::energy_table::EnergyRow;
 use crate::exec::{self, CancelToken, ExecConfig};
@@ -287,28 +287,28 @@ struct InjectionTrial {
 fn injection_snrs_batched(
     sc: &Scenario,
     trials: &[InjectionTrial],
-    app_kind: AppKind,
+    app: &dyn BiomedicalApp,
     emt: EmtKind,
     width: u32,
     records: &[Record],
-    references: &[Vec<f64>],
+    references: &[SnrReference],
     cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, exec::Cancelled> {
+    let words = app.memory_words();
+    let geometry = banked_geometry(words);
     // One clean pass per record, shared by every lane group of this
     // (app, EMT): groups replay the trace instead of re-running the app.
     let passes: Vec<CleanPass> = {
-        let app = app_kind.instantiate(sc.window);
-        let geometry = banked_geometry(app.memory_words());
         let mut mem = EmtMemory::new(emt, geometry);
         let map = FaultMap::empty(geometry.words(), width);
         records
             .iter()
-            .enumerate()
-            .map(|(ri, record)| {
+            .zip(references)
+            .map(|(record, reference)| {
                 mem.reset_with_fault_map(&map);
-                let trace = mem.record_trace(&*app, &record.samples);
-                let snr = cap_snr(snr_db(&references[ri], &samples_to_f64(trace.output())));
+                let trace = mem.record_trace(app, &record.samples);
+                let snr = cap_snr(reference.snr_db(trace.output()));
                 telemetry::record_trace();
                 CleanPass { trace, snr }
             })
@@ -325,25 +325,22 @@ fn injection_snrs_batched(
         .flat_map(|lanes| lanes.chunks(MAX_LANES).map(<[_]>::to_vec))
         .collect();
     let scratch = || {
-        let app = app_kind.instantiate(sc.window);
-        let words = app.memory_words();
-        let geometry = banked_geometry(words);
         let mem = EmtMemory::new(emt, geometry);
         let map = FaultMap::empty(geometry.words(), width);
         let planes = BatchFaultPlanes::new(geometry.words(), width);
-        (app, mem, map, planes, words)
+        (mem, map, planes)
     };
     let per_group = exec::run_trials_cancellable(
         cfg.threads,
         &groups,
         scratch,
-        |(app, mem, map, planes, words), group, _| {
+        |(mem, map, planes), group, _| {
             let record = group[0].1.record;
             planes.clear();
             for (lane, (_, t)) in group.iter().enumerate() {
                 // Same location derivation as the scalar path below.
                 let seed = fault_seed(sc.seed, t.record, t.trial);
-                let word = (seed % *words as u64) as usize;
+                let word = (seed % words as u64) as usize;
                 planes.inject(lane, word, t.bit, t.stuck);
             }
             let pass = &passes[record];
@@ -368,7 +365,7 @@ fn injection_snrs_batched(
                         // decoded clean, so it resumes there (rows carry
                         // only the SNR, which depends on the output alone).
                         let seed = fault_seed(sc.seed, t.record, t.trial);
-                        let word = (seed % *words as u64) as usize;
+                        let word = (seed % words as u64) as usize;
                         map.clear();
                         map.inject(word, t.bit, t.stuck);
                         mem.reset_with_fault_map(map);
@@ -378,13 +375,9 @@ fn injection_snrs_batched(
                             pass.trace.reads_before(stage),
                             pass.trace.stats().reads,
                         );
-                        let out = mem.run_app_resumed(
-                            &**app,
-                            &records[record].samples,
-                            &pass.trace,
-                            stage,
-                        );
-                        cap_snr(snr_db(&references[record], &samples_to_f64(&out)))
+                        let out =
+                            mem.run_app_resumed(app, &records[record].samples, &pass.trace, stage);
+                        cap_snr(references[record].snr_db(&out))
                     };
                     (i, snr)
                 })
@@ -413,8 +406,15 @@ fn run_injection(
     let mut typed = Vec::new();
     let mut rendered = Vec::new();
     for &app_kind in &sc.apps {
+        // One instance serves the references, the recordings and every
+        // worker: apps are `Sync`, and all run state lives in the memory.
         let app = app_kind.instantiate(sc.window);
-        let references = reference_outputs_on(cfg.threads, &*app, &records);
+        let app = &*app;
+        let words = app.memory_words();
+        let references: Vec<SnrReference> = reference_outputs_on(cfg.threads, app, &records)
+            .into_iter()
+            .map(SnrReference::new)
+            .collect();
         for &emt in &sc.emts {
             // One batch per (app, EMT): the historical Fig. 2 nested-loop
             // order, flattened.
@@ -444,7 +444,7 @@ fn run_injection(
                 injection_snrs_batched(
                     sc,
                     &trials,
-                    app_kind,
+                    app,
                     emt,
                     width,
                     &records,
@@ -454,30 +454,28 @@ fn run_injection(
                 )?
             } else {
                 let scratch = || {
-                    let app = app_kind.instantiate(sc.window);
-                    let words = app.memory_words();
                     let geometry = banked_geometry(words);
                     let mem = EmtMemory::new(emt, geometry);
                     let map = FaultMap::empty(geometry.words(), width);
-                    (app, mem, map, words)
+                    (mem, map)
                 };
                 exec::run_trials_cancellable(
                     cfg.threads,
                     &trials,
                     scratch,
-                    |(app, mem, map, words), t, _| {
+                    |(mem, map), t, _| {
                         // One faulty cell at a deterministic pseudo-random
                         // location in the app's buffer footprint. The location
                         // depends only on (record, trial) — not on the bit or
                         // polarity — so the bit axis is a paired comparison, as
                         // when profiling one physical die.
                         let seed = fault_seed(sc.seed, t.record, t.trial);
-                        let word = (seed % *words as u64) as usize;
+                        let word = (seed % words as u64) as usize;
                         map.clear();
                         map.inject(word, t.bit, t.stuck);
                         mem.reset_with_fault_map(map);
-                        let out = mem.run_app(&**app, &records[t.record].samples);
-                        cap_snr(snr_db(&references[t.record], &samples_to_f64(&out)))
+                        let out = mem.run_app(app, &records[t.record].samples);
+                        cap_snr(references[t.record].snr_db(&out))
                     },
                     cancel,
                 )?
@@ -640,13 +638,13 @@ fn record_clean_pass(
     sc: &Scenario,
     app: &dyn BiomedicalApp,
     record: &Record,
-    reference: &[f64],
+    reference: &SnrReference,
     geometry: MemGeometry,
 ) -> DrawPass {
     for _ in &sc.emts {
         telemetry::record_trace();
     }
-    let snr = |output: &[i16]| cap_snr(snr_db(reference, &samples_to_f64(output)));
+    let snr = |output: &[i16]| cap_snr(reference.snr_db(output));
     if let Some(trace) = RawTrace::record(app, &record.samples, app.memory_words()) {
         return DrawPass::Shared(CleanPass {
             snr: snr(trace.output()),
@@ -680,11 +678,13 @@ struct DrawPoint {
 }
 
 /// Point-invariant inputs of a draw sweep: the BER calibration, the
-/// record suite with its references, the shared geometry and the
-/// memoized clean passes.
+/// campaign's app instances, the record suite with its references, the
+/// shared geometry and the memoized clean passes.
 struct DrawSuite<'a> {
     /// Feeds the per-bank-voltage model's ΔV→BER mapping.
     ber_model: &'a BerModel,
+    /// One instance per app, shared by every worker.
+    apps: &'a [Box<dyn BiomedicalApp>],
     records: &'a [Record],
     references: &'a References,
     geometry: MemGeometry,
@@ -702,10 +702,9 @@ struct DrawItem {
     runs: std::ops::Range<usize>,
 }
 
-/// A draw worker's arena, built once per sweep: app instances, one
-/// memory per EMT, one armed map per lane and the lane planes.
+/// A draw worker's arena, built once per sweep: one memory per EMT, one
+/// armed map per lane and the lane planes.
 struct DrawArena {
-    apps: Vec<Box<dyn BiomedicalApp>>,
     mems: Vec<EmtMemory>,
     /// One drawn map per lane (a single one for the scalar body): a run
     /// draws once and shares the map across its EMT × app cells.
@@ -753,7 +752,6 @@ fn draw_sweep(
         None => 1,
     };
     let scratch = || DrawArena {
-        apps: sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect(),
         mems: sc
             .emts
             .iter()
@@ -799,9 +797,7 @@ fn draw_group_scalar(
     suite: &DrawSuite,
     arena: &mut DrawArena,
 ) -> Vec<Vec<Cell>> {
-    let DrawArena {
-        apps, mems, maps, ..
-    } = arena;
+    let DrawArena { mems, maps, .. } = arena;
     let map = &mut maps[0];
     item.runs
         .clone()
@@ -813,11 +809,11 @@ fn draw_group_scalar(
             point
                 .fault_model
                 .arm(map, &suite.geometry, suite.ber_model, seed);
-            let mut cells = Vec::with_capacity(mems.len() * apps.len());
+            let mut cells = Vec::with_capacity(mems.len() * suite.apps.len());
             for mem in mems.iter_mut() {
                 arm_lane(sc, point, run, suite, mem, map);
-                for (ai, app) in apps.iter().enumerate() {
-                    cells.push(scalar_cell(suite, run, mem, ai, &**app));
+                for ai in 0..suite.apps.len() {
+                    cells.push(scalar_cell(suite, run, mem, ai));
                 }
             }
             cells
@@ -847,12 +843,8 @@ fn draw_group_batched(
     cfg: ExecConfig,
     arena: &mut DrawArena,
 ) -> Vec<Vec<Cell>> {
-    let DrawArena {
-        apps,
-        mems,
-        maps,
-        planes,
-    } = arena;
+    let DrawArena { mems, maps, planes } = arena;
+    let apps = suite.apps.len();
     let records = suite.records;
     let lanes = item.runs.len();
     planes.clear();
@@ -876,12 +868,12 @@ fn draw_group_batched(
         planes.add_lane(lane, &maps[lane], scrambler.as_ref());
     }
     let mut cells: Vec<Vec<Cell>> = (0..lanes)
-        .map(|_| Vec::with_capacity(mems.len() * apps.len()))
+        .map(|_| Vec::with_capacity(mems.len() * apps))
         .collect();
     for (ei, mem) in mems.iter_mut().enumerate() {
         // Replay the memoized traces: only dirty events pay plane work;
         // the application never runs.
-        let batches: Vec<TrialBatch> = (0..apps.len())
+        let batches: Vec<TrialBatch> = (0..apps)
             .map(|ai| {
                 let mut batch = TrialBatch::with_bailout(lanes, cfg.bailout);
                 for &(ri, mask) in &parts {
@@ -894,7 +886,7 @@ fn draw_group_batched(
             .collect();
         for (lane, run) in item.runs.clone().enumerate() {
             let mut armed = false;
-            for (ai, (app, batch)) in apps.iter().zip(&batches).enumerate() {
+            for (ai, batch) in batches.iter().enumerate() {
                 let cell = if batch.is_alive(lane) {
                     let (snr, stats) = clean[ai][run % records.len()].clean(ei);
                     Cell::observed(snr, batch.lane_stats(lane, &stats))
@@ -903,7 +895,7 @@ fn draw_group_batched(
                         arm_lane(sc, point, run, suite, mem, &maps[lane]);
                         armed = true;
                     }
-                    scalar_cell(suite, run, mem, ai, &**app)
+                    scalar_cell(suite, run, mem, ai)
                 };
                 cells[lane].push(cell);
             }
@@ -935,19 +927,13 @@ fn arm_lane(
     }
 }
 
-/// The scalar trial of one (EMT, app) cell of `run` on `mem`, which
+/// The scalar trial of app `ai`'s cell of `run` on `mem`, which
 /// [`arm_lane`] armed for the run: rewinds to that arming, then runs.
-fn scalar_cell(
-    suite: &DrawSuite,
-    run: usize,
-    mem: &mut EmtMemory,
-    ai: usize,
-    app: &dyn BiomedicalApp,
-) -> Cell {
+fn scalar_cell(suite: &DrawSuite, run: usize, mem: &mut EmtMemory, ai: usize) -> Cell {
     let ri = run % suite.records.len();
     mem.rewind();
-    let out = mem.run_app(app, &suite.records[ri].samples);
-    let snr = cap_snr(snr_db(&suite.references[ai][ri], &samples_to_f64(&out)));
+    let out = mem.run_app(&*suite.apps[ai], &suite.records[ri].samples);
+    let snr = cap_snr(suite.references[ai][ri].snr_db(&out));
     Cell::observed(snr, mem.stats())
 }
 
@@ -993,61 +979,85 @@ fn drawn_records(sc: &Scenario) -> usize {
     sc.effective_records().min(sc.trials)
 }
 
-/// Double-precision reference outputs per (app, record).
-type References = Vec<Vec<Vec<f64>>>;
+/// Prepared reference outputs per (app, record).
+type References = Vec<Vec<SnrReference>>;
+
+/// A draw campaign's one instance of each app, in spec order: every
+/// reference, recording and worker of the campaign shares it (apps are
+/// `Sync`, and a run keeps all its state in the memory).
+fn draw_apps(sc: &Scenario) -> Vec<Box<dyn BiomedicalApp>> {
+    sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect()
+}
 
 /// The geometry of a draw campaign: the one fitting its largest app
 /// footprint, since a run's fault map is shared by every app.
-fn draw_geometry(sc: &Scenario) -> MemGeometry {
-    let words = sc
-        .apps
+fn draw_geometry(apps: &[Box<dyn BiomedicalApp>]) -> MemGeometry {
+    let words = apps
         .iter()
-        .map(|&k| k.instantiate(sc.window).memory_words())
+        .map(|app| app.memory_words())
         .max()
         .expect("validated: at least one app");
     banked_geometry(words)
 }
 
-/// The per-(app, record) work of one draw suite, as one work list on the
-/// trial executor: each item computes the record's reference output
-/// under the app and, when the campaign batches, its clean pass
-/// ([`record_clean_pass`]). Returns both indexed `[app][record]`.
+/// The point-invariant work of one draw suite: the drawn records, their
+/// references and, when batching, their clean passes.
+struct PreparedSuite {
+    records: Vec<Record>,
+    references: References,
+    clean: Option<CleanPasses>,
+}
+
+/// Builds one draw suite at `noise_scale` as one work list on the trial
+/// executor, one item per drawn record: each item synthesizes its record,
+/// then computes every app's reference output and, when the campaign
+/// batches, its clean pass ([`record_clean_pass`]). References and clean
+/// passes come back indexed `[app][record]`.
 fn prepare_suite(
     sc: &Scenario,
-    records: &[Record],
+    apps: &[Box<dyn BiomedicalApp>],
+    noise_scale: f64,
     geometry: MemGeometry,
     cfg: ExecConfig,
     cancel: Option<&CancelToken>,
-) -> Result<(References, Option<CleanPasses>), exec::Cancelled> {
-    let pairs: Vec<(usize, usize)> = (0..sc.apps.len())
-        .flat_map(|ai| (0..records.len()).map(move |ri| (ai, ri)))
-        .collect();
-    let scratch = || -> Vec<Box<dyn BiomedicalApp>> {
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect()
-    };
+) -> Result<PreparedSuite, exec::Cancelled> {
+    let model = dream_ecg::NoiseModel::date16().scaled(noise_scale);
+    let indices: Vec<usize> = (0..drawn_records(sc)).collect();
     let items = exec::run_trials_cancellable(
         cfg.threads,
-        &pairs,
-        scratch,
-        |apps, &(ai, ri), _| {
-            let app = &*apps[ai];
-            let reference = app.run_reference(&records[ri].samples);
-            let pass = cfg
-                .batch
-                .then(|| record_clean_pass(sc, app, &records[ri], &reference, geometry));
-            (reference, pass)
+        &indices,
+        || (),
+        |(), &ri, _| {
+            let record = suite_record(sc.window, ri, &model);
+            let per_app: Vec<(SnrReference, Option<DrawPass>)> = apps
+                .iter()
+                .map(|app| {
+                    let reference = SnrReference::new(app.run_reference(&record.samples));
+                    let pass = cfg
+                        .batch
+                        .then(|| record_clean_pass(sc, &**app, &record, &reference, geometry));
+                    (reference, pass)
+                })
+                .collect();
+            (record, per_app)
         },
         cancel,
     )?;
-    let mut references: References = Vec::with_capacity(sc.apps.len());
-    let mut passes: CleanPasses = Vec::with_capacity(sc.apps.len());
-    let mut items = items.into_iter();
-    for _ in &sc.apps {
-        let (refs, app_passes): (Vec<_>, Vec<_>) = items.by_ref().take(records.len()).unzip();
-        references.push(refs);
-        passes.push(app_passes.into_iter().flatten().collect());
+    let mut records = Vec::with_capacity(items.len());
+    let mut references: References = apps.iter().map(|_| Vec::new()).collect();
+    let mut passes: CleanPasses = apps.iter().map(|_| Vec::new()).collect();
+    for (record, per_app) in items {
+        records.push(record);
+        for (ai, (reference, pass)) in per_app.into_iter().enumerate() {
+            references[ai].push(reference);
+            passes[ai].extend(pass);
+        }
     }
-    Ok((references, cfg.batch.then_some(passes)))
+    Ok(PreparedSuite {
+        records,
+        references,
+        clean: cfg.batch.then_some(passes),
+    })
 }
 
 const FIG4_HEADERS: [&str; 7] = [
@@ -1081,11 +1091,11 @@ fn voltage_points(
     cfg: ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Fig4Point>, EngineError> {
-    let records = record_suite_with_noise(sc.window, drawn_records(sc), sc.noise_scale);
-    let geometry = draw_geometry(sc);
+    let apps = draw_apps(sc);
+    let geometry = draw_geometry(&apps);
     // One clean pass per (app, record), shared by every voltage and EMT:
     // each additional grid point pays only faulty-delta work.
-    let (references, clean) = prepare_suite(sc, &records, geometry, cfg, cancel)?;
+    let prepared = prepare_suite(sc, &apps, sc.noise_scale, geometry, cfg, cancel)?;
     let model = sc.fault.to_model();
     let points: Vec<DrawPoint> = voltages
         .iter()
@@ -1097,10 +1107,11 @@ fn voltage_points(
         .collect();
     let suite = DrawSuite {
         ber_model: &model,
-        records: &records,
-        references: &references,
+        apps: &apps,
+        records: &prepared.records,
+        references: &prepared.references,
         geometry,
-        clean: clean.as_ref(),
+        clean: prepared.clean.as_ref(),
     };
     let mut out = Vec::new();
     draw_sweep(sc, &points, &suite, cfg, cancel, |vi, cells| {
@@ -1180,7 +1191,8 @@ fn run_noise(
     // on the scale — and only on it. Consecutive grid points at one scale
     // share one suite, so they pay for that work exactly once, without
     // holding every suite of a long sweep in memory at once.
-    let geometry = draw_geometry(sc);
+    let apps = draw_apps(sc);
+    let geometry = draw_geometry(&apps);
     // Each run of consecutive points at one scale is one draw sweep over
     // that scale's suite.
     let mut start = 0;
@@ -1191,8 +1203,7 @@ fn run_noise(
                 .iter()
                 .take_while(|s| s.to_bits() == scale.to_bits())
                 .count();
-        let records = record_suite_with_noise(sc.window, drawn_records(sc), scale);
-        let (references, clean) = prepare_suite(sc, &records, geometry, cfg, cancel)?;
+        let prepared = prepare_suite(sc, &apps, scale, geometry, cfg, cancel)?;
         let points: Vec<DrawPoint> = (start..end)
             .map(|si| DrawPoint {
                 index: sc.point_offset + si,
@@ -1201,10 +1212,11 @@ fn run_noise(
             .collect();
         let suite = DrawSuite {
             ber_model: &model,
-            records: &records,
-            references: &references,
+            apps: &apps,
+            records: &prepared.records,
+            references: &prepared.references,
             geometry,
-            clean: clean.as_ref(),
+            clean: prepared.clean.as_ref(),
         };
         draw_sweep(sc, &points, &suite, cfg, cancel, |_, cells| {
             let mut batch = Vec::new();
