@@ -490,7 +490,6 @@ pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
     let exec = ExecConfig {
         threads: crate::apply_threads(args, env.threads),
         batch: crate::apply_batch(args, env.batch),
-        ..env
     };
     eprintln!(
         "dream run {}: kind={} axis={} points={} trials={} window={} fault-model={} threads={} batch={}",
@@ -515,8 +514,7 @@ pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
 fn runner_for(sc: &Scenario, exec: ExecConfig, progress: bool) -> CampaignRunner {
     let mut runner = CampaignRunner::new(sc.clone())
         .threads(exec.threads)
-        .batch(exec.batch)
-        .bailout(exec.bailout);
+        .batch(exec.batch);
     if progress {
         let name = sc.name.clone();
         // A trivial (K=1) shard plan knows the campaign's exact row count

@@ -96,43 +96,18 @@ pub struct TrialBatch {
     lanes: usize,
     full: u64,
     alive: u64,
-    /// Lanes abandoned by the adaptive bail-out (a subset of the evicted
-    /// mask): they had *not* diverged when the batch bailed, but finishing
-    /// the plane passes for a nearly-empty batch costs more than replaying
-    /// the stragglers scalar.
-    bailed: u64,
-    /// Bail out when the alive population drops strictly below this count
-    /// (0 disables bail-out).
-    bail_below: u32,
     corrected: [i64; 64],
     uncorrectable: [i64; 64],
 }
 
 impl TrialBatch {
-    /// A batch of `lanes` trials, all alive, with bail-out disabled.
+    /// A batch of `lanes` trials, all alive.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is 0 or exceeds 64.
     pub fn new(lanes: usize) -> Self {
-        Self::with_bailout(lanes, 0.0)
-    }
-
-    /// A batch of `lanes` trials that abandons the plane passes once the
-    /// alive population drops strictly below `fraction` of the group
-    /// (rounded up), handing every remaining lane to the scalar replay
-    /// path. `0.0` never bails; `1.0` bails on the first eviction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds 64, or if `fraction` is not in
-    /// `0.0..=1.0`.
-    pub fn with_bailout(lanes: usize, fraction: f64) -> Self {
         assert!((1..=64).contains(&lanes), "lanes must be in 1..=64");
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "bail-out fraction must be in 0.0..=1.0, got {fraction}"
-        );
         let full = if lanes == 64 {
             u64::MAX
         } else {
@@ -142,8 +117,6 @@ impl TrialBatch {
             lanes,
             full,
             alive: full,
-            bailed: 0,
-            bail_below: (fraction * lanes as f64).ceil() as u32,
             corrected: [0; 64],
             uncorrectable: [0; 64],
         }
@@ -160,17 +133,28 @@ impl TrialBatch {
         self.alive
     }
 
-    /// Lanes evicted so far (to be finished on the scalar path) — both the
-    /// diverged lanes and any lanes abandoned by the bail-out.
+    /// Lanes evicted so far by divergence (to be finished on the scalar
+    /// path).
     pub fn evicted(&self) -> u64 {
         self.full & !self.alive
     }
 
-    /// Lanes abandoned by the adaptive bail-out (a subset of
-    /// [`evicted`](Self::evicted)): they had not diverged when the batch
-    /// bailed, but too few lanes were left to amortize the plane passes.
+    /// [`TrialBatch::new`]; `fraction` must be `0.0`, since a lane leaves
+    /// a batch only by diverging. Kept for the benchmark mirror; ROADMAP
+    /// item 2 deletes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is not `0.0`, or as [`TrialBatch::new`] does.
+    pub fn with_bailout(lanes: usize, fraction: f64) -> Self {
+        assert!(fraction == 0.0, "the bail-out is gone, got {fraction}");
+        Self::new(lanes)
+    }
+
+    /// Always 0: no lane leaves a batch except by diverging. Kept for the
+    /// benchmark mirror; ROADMAP item 2 deletes it.
     pub fn bailed(&self) -> u64 {
-        self.bailed
+        0
     }
 
     /// Whether lane `lane` is still alive.
@@ -217,14 +201,6 @@ impl TrialBatch {
             survivors &= survivors - 1;
             self.corrected[lane] += ((corrected >> lane & 1) as i64 - clean_c) * count;
             self.uncorrectable[lane] += ((uncorrectable >> lane & 1) as i64 - clean_u) * count;
-        }
-        // Adaptive bail-out: once too few lanes survive to amortize the
-        // batched plane passes, abandon the rest to the scalar replay.
-        // Zeroing `alive` makes every later `active & alive()` mask empty,
-        // so the remaining batched work vanishes without caller changes.
-        if self.alive.count_ones() < self.bail_below {
-            self.bailed |= self.alive;
-            self.alive = 0;
         }
     }
 
@@ -312,45 +288,6 @@ mod tests {
     #[should_panic(expected = "lanes must be in 1..=64")]
     fn oversized_batch_rejected() {
         let _ = TrialBatch::new(65);
-    }
-
-    #[test]
-    #[should_panic(expected = "bail-out fraction must be in 0.0..=1.0")]
-    fn out_of_range_bailout_fraction_rejected() {
-        let _ = TrialBatch::with_bailout(8, 1.5);
-    }
-
-    #[test]
-    fn bailout_abandons_survivors_once_population_drops_below_threshold() {
-        // 8 lanes, 25% threshold: bail when fewer than 2 lanes survive.
-        let mut b = TrialBatch::with_bailout(8, 0.25);
-        b.record_read(0xFF, 0b0011_1111, 0, 0, DecodeOutcome::Clean, 1);
-        assert_eq!(b.alive(), 0b1100_0000, "2 survivors is not below 2");
-        assert_eq!(b.bailed(), 0);
-        b.record_read(0xFF, 0b0100_0000, 0, 0, DecodeOutcome::Clean, 1);
-        assert_eq!(b.alive(), 0, "1 survivor < 2 triggers the bail-out");
-        assert_eq!(b.bailed(), 0b1000_0000, "the straggler, not the diverger");
-        assert_eq!(b.evicted(), 0xFF, "every lane now replays scalar");
-        // Bail-out is sticky: later reads account nothing.
-        b.record_read(0xFF, 0, 0xFF, 0, DecodeOutcome::Clean, 1);
-        let clean = AccessStats::default();
-        assert_eq!(b.lane_stats(7, &clean).corrected_reads, 0);
-    }
-
-    #[test]
-    fn full_bailout_fraction_bails_on_first_eviction() {
-        let mut b = TrialBatch::with_bailout(4, 1.0);
-        b.record_read(0b1111, 0b0001, 0, 0, DecodeOutcome::Clean, 1);
-        assert_eq!(b.alive(), 0);
-        assert_eq!(b.bailed(), 0b1110);
-    }
-
-    #[test]
-    fn zero_bailout_fraction_never_bails() {
-        let mut b = TrialBatch::with_bailout(4, 0.0);
-        b.record_read(0b1111, 0b0111, 0, 0, DecodeOutcome::Clean, 1);
-        assert_eq!(b.alive(), 0b1000, "last survivor rides to the end");
-        assert_eq!(b.bailed(), 0);
     }
 
     #[test]

@@ -113,19 +113,9 @@ impl VecStorage {
         }
     }
 
-    /// Creates a storage holding `data`.
-    pub fn from_words(data: Vec<i16>) -> Self {
-        VecStorage { words: data }
-    }
-
     /// Borrows the underlying words.
     pub fn as_slice(&self) -> &[i16] {
         &self.words
-    }
-
-    /// Consumes the storage, returning the words.
-    pub fn into_words(self) -> Vec<i16> {
-        self.words
     }
 }
 

@@ -51,12 +51,6 @@ impl Acc32 {
         self.saturating_add_raw(i32::from(a.raw()) * i32::from(b.raw()))
     }
 
-    /// Multiply-subtract: `self - a * b`, saturating.
-    #[inline]
-    pub fn msu(self, a: Q15, b: Q15) -> Acc32 {
-        self.saturating_sub_raw(i32::from(a.raw()) * i32::from(b.raw()))
-    }
-
     /// Accumulates a sample scaled by a small integer (shift-add filters
     /// with taps like 1, 3, 3, 1). Saturates at the Q1.30 limits — sums
     /// whose magnitude exceeds 2.0 need integer-domain accumulation
@@ -91,11 +85,6 @@ impl Acc32 {
     #[inline]
     fn saturating_add_raw(self, raw: i32) -> Acc32 {
         Acc32(self.0.saturating_add(raw))
-    }
-
-    #[inline]
-    fn saturating_sub_raw(self, raw: i32) -> Acc32 {
-        Acc32(self.0.saturating_sub(raw))
     }
 }
 

@@ -117,18 +117,6 @@ impl FaultySram {
         &self.faults
     }
 
-    /// Replaces the fault overlay (used between campaign runs to install a
-    /// freshly drawn map while keeping the array contents).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new map's dimensions do not match the geometry.
-    pub fn set_fault_map(&mut self, faults: FaultMap) {
-        assert_eq!(faults.words(), self.geometry.words());
-        assert_eq!(faults.width(), self.geometry.bits_per_word());
-        self.faults = faults;
-    }
-
     /// Replaces the fault overlay with a width-narrowed copy of `src`
     /// without reallocating — the campaign executor's per-trial re-arm
     /// path (`src` may be wider than this array, as with the shared

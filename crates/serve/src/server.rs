@@ -334,7 +334,6 @@ struct Stats {
 struct TelemetryTotals {
     lanes: AtomicU64,
     evicted: AtomicU64,
-    bailed: AtomicU64,
     clean_replays: AtomicU64,
     traces_recorded: AtomicU64,
 }
@@ -343,7 +342,6 @@ impl TelemetryTotals {
     fn absorb(&self, t: BatchTelemetry) {
         self.lanes.fetch_add(t.lanes, Ordering::Relaxed);
         self.evicted.fetch_add(t.evicted, Ordering::Relaxed);
-        self.bailed.fetch_add(t.bailed, Ordering::Relaxed);
         self.clean_replays
             .fetch_add(t.clean_replays, Ordering::Relaxed);
         self.traces_recorded
@@ -354,9 +352,9 @@ impl TelemetryTotals {
         BatchTelemetry {
             lanes: self.lanes.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
-            bailed: self.bailed.load(Ordering::Relaxed),
             clean_replays: self.clean_replays.load(Ordering::Relaxed),
             traces_recorded: self.traces_recorded.load(Ordering::Relaxed),
+            ..BatchTelemetry::default()
         }
     }
 }
@@ -1140,11 +1138,9 @@ fn get_stats(state: &Arc<State>, stream: &mut TcpStream) -> io::Result<()> {
         ("bad_requests", load(&state.stats.bad_requests)),
         ("lanes", u64_json(t.lanes)),
         ("evicted", u64_json(t.evicted)),
-        ("bailed", u64_json(t.bailed)),
         ("clean_replays", u64_json(t.clean_replays)),
         ("traces_recorded", u64_json(t.traces_recorded)),
         ("eviction_rate", Json::Num(t.eviction_rate())),
-        ("bailout_rate", Json::Num(t.bailout_rate())),
         ("shards_done", load(&state.shard_counters.done)),
     ]);
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())

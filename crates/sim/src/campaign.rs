@@ -466,10 +466,10 @@ impl CleanTrace {
     /// lanes are decoded, evicted, or credited. This is what lets one
     /// group mix trials over *different* records — each record's trace
     /// replays on exactly the lanes that drew it, sharing the group's
-    /// plane transposition and bail-out budget.
+    /// plane transposition.
     ///
-    /// Returns, per lane, the stage of the event at which the lane left
-    /// the batch (evicted or bailed); entries of lanes still alive are 0.
+    /// Returns, per lane, the stage of the event at which the lane was
+    /// evicted; entries of lanes still alive are 0.
     /// On a directly recorded (stage-ordered) trace that is the earliest
     /// stage the lane can resume at.
     fn replay<C: EmtCodec + ?Sized>(
@@ -759,7 +759,7 @@ impl RawTrace {
     /// so the cost follows the faults, not the trace. Every skipped event
     /// has no dirty lane, so the batch sees the same
     /// [`TrialBatch::record_read`] sequence as a scan of every event in
-    /// (address, epoch) order, and bails out identically.
+    /// (address, epoch) order, and evicts identically.
     fn replay<C: EmtCodec + ?Sized>(
         &self,
         codec: &C,
@@ -1067,8 +1067,8 @@ impl EmtMemory {
     }
 
     /// [`EmtMemory::replay_trace`] that also reports, per lane, the stage
-    /// at which each evicted or bailed lane left the batch: every read of
-    /// the stages before it returned the clean word, so the lane can
+    /// at which each evicted lane left the batch: every read of the
+    /// stages before it returned the clean word, so the lane can
     /// [`EmtMemory::run_app_resumed`] there. Entries of surviving lanes
     /// are 0.
     pub fn replay_trace_staged(
@@ -1290,8 +1290,7 @@ mod tests {
         // Lanes with many stuck cells (unlike the single-cell injection
         // family) make the event order matter: the event that evicts a
         // lane must carry its earliest diverging stage, or the resume
-        // skips a stage that read a corrupted word. Bailed lanes resume at
-        // the stage of the bail instead.
+        // skips a stage that read a corrupted word.
         let lanes = 12;
         let mut resumed_past_zero = 0;
         for app_kind in dream_dsp::AppKind::extended() {
@@ -1316,24 +1315,22 @@ mod tests {
                     trace.events.windows(2).all(|w| w[0].stage <= w[1].stage),
                     "{app_kind:?}/{kind}: events not stage-major"
                 );
-                for fraction in [0.0, 0.5] {
-                    let mut batch = TrialBatch::with_bailout(lanes, fraction);
-                    let left_at = mem.replay_trace_staged(&trace, &planes, &mut batch, u64::MAX);
-                    for (lane, map) in maps.iter().enumerate() {
-                        if batch.is_alive(lane) {
-                            continue;
-                        }
-                        let stage = usize::from(left_at[lane]);
-                        mem.reset_with_fault_map(map);
-                        let full = mem.run_app(&*app, &samples);
-                        mem.reset_with_fault_map(map);
-                        let resumed = mem.run_app_resumed(&*app, &samples, &trace, stage);
-                        assert_eq!(
-                            resumed, full,
-                            "{app_kind:?}/{kind} lane {lane}: resumed at stage {stage}"
-                        );
-                        resumed_past_zero += usize::from(stage > 0);
+                let mut batch = TrialBatch::new(lanes);
+                let left_at = mem.replay_trace_staged(&trace, &planes, &mut batch, u64::MAX);
+                for (lane, map) in maps.iter().enumerate() {
+                    if batch.is_alive(lane) {
+                        continue;
                     }
+                    let stage = usize::from(left_at[lane]);
+                    mem.reset_with_fault_map(map);
+                    let full = mem.run_app(&*app, &samples);
+                    mem.reset_with_fault_map(map);
+                    let resumed = mem.run_app_resumed(&*app, &samples, &trace, stage);
+                    assert_eq!(
+                        resumed, full,
+                        "{app_kind:?}/{kind} lane {lane}: resumed at stage {stage}"
+                    );
+                    resumed_past_zero += usize::from(stage > 0);
                 }
             }
         }
@@ -1749,14 +1746,12 @@ mod tests {
             restore in (0usize..SCRIPT_WORDS, -3i16..=3),
             steps in plane_steps(),
             masks in (proptest::any::<u64>(), proptest::any::<u64>()),
-            bailout in 0.0f64..=1.0,
         ) {
             // Planes built by any interleaving of `add_lane`, `inject` and
             // `clear` (on a geometry wider than the trace, so some faults
             // lie past its last address) replay the raw trace exactly as a
-            // scan of every event does: the same alive, evicted and bailed
-            // lanes and every lane's statistics, at any bail-out, for two
-            // masked sub-groups.
+            // scan of every event does: the same alive and evicted lanes
+            // and every lane's statistics, for two masked sub-groups.
             let app = scripted_app(init, script, restore);
             let raw = RawTrace::record(&app, &[], app.memory_words())
                 .expect("the script writes every word first");
@@ -1782,8 +1777,8 @@ mod tests {
             let masks = [replayed & split & all, replayed & !split & all];
             for kind in EmtKind::all() {
                 let mem = EmtMemory::new(kind, banked_geometry(words));
-                let mut sparse = TrialBatch::with_bailout(lanes, bailout);
-                let mut full = TrialBatch::with_bailout(lanes, bailout);
+                let mut sparse = TrialBatch::new(lanes);
+                let mut full = TrialBatch::new(lanes);
                 for mask in masks {
                     mem.replay_raw_trace(&raw, &planes, &mut sparse, mask);
                     match &mem {
@@ -1795,7 +1790,6 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(sparse.alive(), full.alive(), "{}", kind);
                 proptest::prop_assert_eq!(sparse.evicted(), full.evicted(), "{}", kind);
-                proptest::prop_assert_eq!(sparse.bailed(), full.bailed(), "{}", kind);
                 for lane in 0..lanes {
                     proptest::prop_assert_eq!(
                         sparse.lane_stats(lane, &raw.stats()),
@@ -1849,15 +1843,13 @@ mod tests {
                 0..48,
             ),
             masks in (proptest::any::<u64>(), proptest::any::<u64>()),
-            bailout in 0.0f64..=1.0,
         ) {
             // Replaying the shared raw trace under an EMT leaves the batch
-            // a replay of that EMT's own recording leaves: without a
-            // bail-out against the direct (stage-ordered) recording, the
-            // same alive and evicted lanes and survivor statistics; and at
-            // any bail-out against the derived trace, whose events come in
-            // the raw trace's order, the same batch down to every lane's
-            // statistics. The lanes replay as two masked sub-groups, like
+            // a replay of that EMT's own recording leaves: against the
+            // direct (stage-ordered) recording, the same alive and evicted
+            // lanes and survivor statistics; and against the derived
+            // trace, whose events come in the raw trace's order, the same
+            // batch down to every lane's statistics. The lanes replay as two masked sub-groups, like
             // lanes that drew two records, and some lanes may replay none.
             let app = scripted_app(init, script, restore);
             let geometry = banked_geometry(SCRIPT_WORDS);
@@ -1876,16 +1868,16 @@ mod tests {
                 mem.reset_with_fault_map(&FaultMap::empty(geometry.words(), 22));
                 let direct = mem.record_trace(&app, &[]);
                 let derived = mem.derive_trace(&raw);
-                let replay = |fraction: f64, own: &CleanTrace| {
-                    let mut from_raw = TrialBatch::with_bailout(lanes, fraction);
-                    let mut from_own = TrialBatch::with_bailout(lanes, fraction);
+                let replay = |own: &CleanTrace| {
+                    let mut from_raw = TrialBatch::new(lanes);
+                    let mut from_own = TrialBatch::new(lanes);
                     for mask in masks {
                         mem.replay_raw_trace(&raw, &planes, &mut from_raw, mask);
                         mem.replay_trace(own, &planes, &mut from_own, mask);
                     }
                     (from_raw, from_own)
                 };
-                let (from_raw, from_direct) = replay(0.0, &direct);
+                let (from_raw, from_direct) = replay(&direct);
                 proptest::prop_assert_eq!(from_raw.alive(), from_direct.alive(), "{}", kind);
                 proptest::prop_assert_eq!(from_raw.evicted(), from_direct.evicted(), "{}", kind);
                 proptest::prop_assert_eq!(raw.stats(), direct.stats(), "{}: clean stats", kind);
@@ -1896,15 +1888,14 @@ mod tests {
                         "{} lane {}", kind, lane
                     );
                 }
-                let (from_raw, from_derived) = replay(bailout, &derived);
+                let (from_raw, from_derived) = replay(&derived);
                 proptest::prop_assert_eq!(from_raw.alive(), from_derived.alive(), "{}", kind);
                 proptest::prop_assert_eq!(from_raw.evicted(), from_derived.evicted(), "{}", kind);
-                proptest::prop_assert_eq!(from_raw.bailed(), from_derived.bailed(), "{}", kind);
                 for lane in 0..lanes {
                     proptest::prop_assert_eq!(
                         from_raw.lane_stats(lane, &raw.stats()),
                         from_derived.lane_stats(lane, &derived.stats()),
-                        "{} lane {} at bail-out {}", kind, lane, bailout
+                        "{} lane {}", kind, lane
                     );
                 }
             }

@@ -33,13 +33,13 @@
 //!
 //! # Execution settings
 //!
-//! Three settings decide how a campaign runs — the worker count, trial
-//! batching, and the batched executor's bail-out fraction — and none of
-//! them changes an output byte. They travel as one plain [`ExecConfig`]
-//! value: [`ExecConfig::from_env`] reads `DREAM_THREADS`, `DREAM_BATCH`
-//! and `DREAM_BATCH_BAILOUT` once per campaign (`CampaignRunner::new`),
-//! the CLI flags and `CampaignRunner` builders override its fields, and
-//! the engine hands `threads` to every executor call. Nothing is
+//! Two settings decide how a campaign runs — the worker count and trial
+//! batching — and neither changes an output byte. They travel as one
+//! plain [`ExecConfig`] value: [`ExecConfig::from_env`] reads
+//! `DREAM_THREADS` and `DREAM_BATCH` once per campaign
+//! (`CampaignRunner::new`), the CLI flags and `CampaignRunner` builders
+//! override its fields, and the engine hands `threads` to every executor
+//! call. Nothing is
 //! process-global or thread-local, so concurrent campaigns with different
 //! settings cannot interfere. A thread count of 1 reproduces the
 //! historical serial path exactly, worker scratch included.
@@ -66,22 +66,10 @@ pub const THREADS_ENV: &str = "DREAM_THREADS";
 /// to enable, `0`/`false`/`off` to disable).
 pub const BATCH_ENV: &str = "DREAM_BATCH";
 
-/// Environment variable tuning the batched executor's adaptive bail-out
-/// fraction (`0.0`..=`1.0`): a batch abandons its plane passes once the
-/// alive-lane population drops strictly below this fraction of the group,
-/// finishing the stragglers on the scalar replay path. `0` disables
-/// bail-out; `1` bails on the first eviction.
-pub const BAILOUT_ENV: &str = "DREAM_BATCH_BAILOUT";
-
-/// Default bail-out fraction: below a quarter of the group, the plane
-/// passes cost more than scalar replays of the survivors.
-pub const DEFAULT_BAILOUT: f64 = 0.25;
-
-/// How campaigns execute: the worker count, bit-sliced trial batching,
-/// and the batched executor's bail-out fraction.
+/// How campaigns execute: the worker count and bit-sliced trial batching.
 ///
-/// None of the three is a model knob — output bytes are identical at
-/// every setting — so the value is resolved once, at the edge
+/// Neither is a model knob — output bytes are identical at every
+/// setting — so the value is resolved once, at the edge
 /// ([`ExecConfig::from_env`], then CLI flags or `CampaignRunner`
 /// builders), and passed explicitly down to [`run_trials`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,26 +79,20 @@ pub struct ExecConfig {
     /// Whether trials ride bit-sliced lane groups
     /// (`dream_core::TrialBatch`) instead of running one by one.
     pub batch: bool,
-    /// Alive-lane fraction (`0.0..=1.0`) below which a batched group
-    /// abandons its plane passes for scalar replays.
-    pub bailout: f64,
 }
 
 impl ExecConfig {
     /// The environment's settings: [`THREADS_ENV`] (default: available
-    /// parallelism), [`BATCH_ENV`] (default: on) and [`BAILOUT_ENV`]
-    /// (default: [`DEFAULT_BAILOUT`]).
+    /// parallelism) and [`BATCH_ENV`] (default: on).
     ///
     /// # Panics
     ///
-    /// Panics if any of the three variables is malformed — a typo
-    /// silently running another configuration would make benchmark A/Bs
-    /// lie.
+    /// Panics if either variable is malformed — a typo silently running
+    /// another configuration would make benchmark A/Bs lie.
     pub fn from_env() -> ExecConfig {
         ExecConfig {
             threads: env_threads(),
             batch: batch_enabled(),
-            bailout: batch_bailout(),
         }
     }
 }
@@ -181,32 +163,10 @@ pub fn batch_enabled() -> bool {
     }
 }
 
-/// The bail-out fraction [`BAILOUT_ENV`] selects (unset:
-/// [`DEFAULT_BAILOUT`]) — the env-edge parser behind
-/// [`ExecConfig::from_env`].
-///
-/// Like batching itself, the bail-out is an execution strategy: bailed
-/// lanes are replayed on the scalar path, so the fraction may only affect
-/// speed, never output.
-///
-/// # Panics
-///
-/// Panics if [`BAILOUT_ENV`] is set to anything but a number in
-/// `0.0..=1.0` — a typo silently running a different bail-out policy
-/// would make benchmark A/Bs lie.
+/// Always `0.0`: a lane leaves a batched pass only by diverging. Kept
+/// for the benchmark mirror; ROADMAP item 2 deletes it.
 pub fn batch_bailout() -> f64 {
-    let Ok(raw) = std::env::var(BAILOUT_ENV) else {
-        return DEFAULT_BAILOUT;
-    };
-    let frac: f64 = raw
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("{BAILOUT_ENV} must be a number in 0.0..=1.0, got {raw:?}"));
-    assert!(
-        (0.0..=1.0).contains(&frac),
-        "{BAILOUT_ENV} must be in 0.0..=1.0, got {raw:?}"
-    );
-    frac
+    0.0
 }
 
 /// The worker count [`THREADS_ENV`] selects (unset: available

@@ -8,8 +8,8 @@
 //! | [`tradeoff`] | §VI-C — per-EMT minimum voltages, the mixed-EMT voltage policy for a given output-degradation tolerance, and its energy savings |
 //! | [`ablation`] | extensions: protected-bits census, address-scrambling ablation, BER-slope sensitivity, mask-supply ablation |
 //! | [`campaign`] | shared plumbing: seed discipline, the storage adapter onto protected memories, SNR capping, geometry/record-suite selection |
-//! | [`exec`] | the deterministic parallel trial executor behind every campaign, and [`exec::ExecConfig`], its per-campaign settings (read once from `DREAM_THREADS`, `DREAM_BATCH`, `DREAM_BATCH_BAILOUT`) |
-//! | [`telemetry`] | process-wide counters of the batched executor's economics (evictions, bail-outs, clean-pass replays, stage resumes) that the benchmark reports per layer |
+//! | [`exec`] | the deterministic parallel trial executor behind every campaign, and [`exec::ExecConfig`], its per-campaign settings (read once from `DREAM_THREADS` and `DREAM_BATCH`) |
+//! | [`telemetry`] | process-wide counters of the batched executor's economics (evictions, clean-pass replays, stage resumes) that the benchmark reports per layer |
 //! | [`report`] | streaming row sinks (ASCII table, CSV, JSONL) for the `dream` CLI |
 //!
 //! A campaign is a [`scenario::Scenario`] run by a

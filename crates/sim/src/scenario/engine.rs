@@ -279,10 +279,10 @@ struct InjectionTrial {
 
 /// Bit-sliced execution of one (app, EMT) injection batch: trials sharing
 /// a record ride one clean pass in lanes of up to [`MAX_LANES`]; lanes
-/// whose decode ever diverges from the clean word (or that the bail-out
-/// abandons) are finished on the scalar path, resumed at the stage where
-/// they left the clean pass, so the returned SNR vector (in `trials`
-/// order) is bit-identical to the scalar branch by construction.
+/// whose decode ever diverges from the clean word are finished on the
+/// scalar path, resumed at the stage where they left the clean pass, so
+/// the returned SNR vector (in `trials` order) is bit-identical to the
+/// scalar branch by construction.
 #[allow(clippy::too_many_arguments)]
 fn injection_snrs_batched(
     sc: &Scenario,
@@ -344,15 +344,10 @@ fn injection_snrs_batched(
                 planes.inject(lane, word, t.bit, t.stuck);
             }
             let pass = &passes[record];
-            let mut batch = TrialBatch::with_bailout(group.len(), cfg.bailout);
+            let mut batch = TrialBatch::new(group.len());
             let left_at = mem.replay_trace_staged(&pass.trace, planes, &mut batch, u64::MAX);
             let clean_snr = pass.snr;
-            let bailed = batch.bailed().count_ones();
-            telemetry::record_batch_pass(
-                group.len(),
-                batch.evicted().count_ones() - bailed,
-                bailed,
-            );
+            telemetry::record_batch_pass(group.len(), batch.evicted().count_ones());
             group
                 .iter()
                 .enumerate()
@@ -770,7 +765,7 @@ fn draw_sweep(
         |arena, item, _| {
             let point = &points[item.point];
             match suite.clean {
-                Some(clean) => draw_group_batched(sc, point, item, suite, clean, cfg, arena),
+                Some(clean) => draw_group_batched(sc, point, item, suite, clean, arena),
                 None => draw_group_scalar(sc, point, item, suite, arena),
             }
         },
@@ -840,7 +835,6 @@ fn draw_group_batched(
     item: &DrawItem,
     suite: &DrawSuite,
     clean: &CleanPasses,
-    cfg: ExecConfig,
     arena: &mut DrawArena,
 ) -> Vec<Vec<Cell>> {
     let DrawArena { mems, maps, planes } = arena;
@@ -875,12 +869,11 @@ fn draw_group_batched(
         // the application never runs.
         let batches: Vec<TrialBatch> = (0..apps)
             .map(|ai| {
-                let mut batch = TrialBatch::with_bailout(lanes, cfg.bailout);
+                let mut batch = TrialBatch::new(lanes);
                 for &(ri, mask) in &parts {
                     clean[ai][ri].replay(ei, mem, planes, &mut batch, mask);
                 }
-                let bailed = batch.bailed().count_ones();
-                telemetry::record_batch_pass(lanes, batch.evicted().count_ones() - bailed, bailed);
+                telemetry::record_batch_pass(lanes, batch.evicted().count_ones());
                 batch
             })
             .collect();

@@ -2,11 +2,10 @@
 //! through — the CLI, the campaign service, and tests alike.
 //!
 //! The builder carries everything that shapes one execution but not its
-//! rows: the [`ExecConfig`] (worker count, batching, bail-out — read from
-//! the environment once in [`CampaignRunner::new`], then overridden by
-//! [`threads`](CampaignRunner::threads), [`batch`](CampaignRunner::batch)
-//! and [`bailout`](CampaignRunner::bailout)), progress events and
-//! cancellation:
+//! rows: the [`ExecConfig`] (worker count and batching — read from the
+//! environment once in [`CampaignRunner::new`], then overridden by
+//! [`threads`](CampaignRunner::threads) and
+//! [`batch`](CampaignRunner::batch)), progress events and cancellation:
 //!
 //! ```
 //! use dream_sim::report::NullSink;
@@ -95,24 +94,6 @@ impl CampaignRunner {
     #[must_use]
     pub fn batch(mut self, enabled: bool) -> CampaignRunner {
         self.exec.batch = enabled;
-        self
-    }
-
-    /// Sets the batched executor's adaptive bail-out fraction for this
-    /// campaign, overriding `DREAM_BATCH_BAILOUT`. Like batching itself,
-    /// the fraction changes scheduling, never values — output is
-    /// bit-identical at any setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `0.0..=1.0`.
-    #[must_use]
-    pub fn bailout(mut self, fraction: f64) -> CampaignRunner {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "bail-out fraction must be in 0.0..=1.0, got {fraction}"
-        );
-        self.exec.bailout = fraction;
         self
     }
 

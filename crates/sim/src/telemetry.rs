@@ -1,7 +1,6 @@
 //! Process-wide counters of the batched executor's behaviour: how many
-//! lanes campaigns dispatched, how many were evicted by divergence or
-//! abandoned by the adaptive bail-out, and how often the clean-pass trace
-//! cache was recorded and replayed.
+//! lanes campaigns dispatched, how many were evicted by divergence, and
+//! how often the clean-pass trace cache was recorded and replayed.
 //!
 //! The counters exist so a perf trajectory entry can explain *why* a
 //! batched run won or lost — a high eviction rate means the voltage was
@@ -18,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static LANES: AtomicU64 = AtomicU64::new(0);
 static EVICTED: AtomicU64 = AtomicU64::new(0);
-static BAILED: AtomicU64 = AtomicU64::new(0);
 static REPLAYS: AtomicU64 = AtomicU64::new(0);
 static TRACES: AtomicU64 = AtomicU64::new(0);
 
@@ -32,8 +30,8 @@ pub struct BatchTelemetry {
     /// Lanes evicted because their decoded word diverged from the clean
     /// word (each replays on the scalar path).
     pub evicted: u64,
-    /// Lanes abandoned by the adaptive bail-out — they had not diverged,
-    /// but too few lanes were left to amortize the plane passes.
+    /// Always 0: a lane leaves a batched pass only by diverging. Kept for
+    /// the benchmark mirror; ROADMAP item 2 deletes it.
     pub bailed: u64,
     /// Clean-pass trace replays (one per batched (group, EMT, app) pass).
     pub clean_replays: u64,
@@ -52,23 +50,12 @@ impl BatchTelemetry {
             self.evicted as f64 / self.lanes as f64
         }
     }
-
-    /// Fraction of dispatched lanes abandoned by the bail-out (0 when no
-    /// lanes ran).
-    pub fn bailout_rate(&self) -> f64 {
-        if self.lanes == 0 {
-            0.0
-        } else {
-            self.bailed as f64 / self.lanes as f64
-        }
-    }
 }
 
 /// Accounts one finished batched (group, EMT, app) pass.
-pub(crate) fn record_batch_pass(lanes: usize, evicted: u32, bailed: u32) {
+pub(crate) fn record_batch_pass(lanes: usize, evicted: u32) {
     LANES.fetch_add(lanes as u64, Ordering::Relaxed);
     EVICTED.fetch_add(u64::from(evicted), Ordering::Relaxed);
-    BAILED.fetch_add(u64::from(bailed), Ordering::Relaxed);
     REPLAYS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -84,12 +71,12 @@ static READS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static CLEAN_READS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the stage-resume counters since the last
-/// [`take_resume`]: how much of the clean prefix evicted and bailed lanes
-/// skipped instead of re-running the application from its first stage.
+/// [`take_resume`]: how much of the clean prefix evicted lanes skipped
+/// instead of re-running the application from its first stage.
 /// Kept apart from [`BatchTelemetry`] so that struct's shape is stable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResumeTelemetry {
-    /// Evicted or bailed lanes finished by a stage resume.
+    /// Evicted lanes finished by a stage resume.
     pub lanes: u64,
     /// Of those, lanes resumed past stage 0 (a lane that left at stage 0
     /// re-runs everything).
@@ -143,7 +130,7 @@ pub fn take() -> BatchTelemetry {
     BatchTelemetry {
         lanes: LANES.swap(0, Ordering::Relaxed),
         evicted: EVICTED.swap(0, Ordering::Relaxed),
-        bailed: BAILED.swap(0, Ordering::Relaxed),
+        bailed: 0,
         clean_replays: REPLAYS.swap(0, Ordering::Relaxed),
         traces_recorded: TRACES.swap(0, Ordering::Relaxed),
     }
@@ -158,13 +145,12 @@ mod tests {
         // The counters are process-wide and other tests run batched
         // campaigns concurrently, so only lower bounds are stable here.
         let _ = take();
-        record_batch_pass(64, 8, 4);
-        record_batch_pass(16, 0, 0);
+        record_batch_pass(64, 8);
+        record_batch_pass(16, 0);
         record_trace();
         let t = take();
         assert!(t.lanes >= 80, "{t:?}");
         assert!(t.evicted >= 8, "{t:?}");
-        assert!(t.bailed >= 4, "{t:?}");
         assert!(t.clean_replays >= 2, "{t:?}");
         assert!(t.traces_recorded >= 1, "{t:?}");
     }
@@ -188,13 +174,11 @@ mod tests {
         let t = BatchTelemetry {
             lanes: 80,
             evicted: 8,
-            bailed: 4,
+            bailed: 0,
             clean_replays: 2,
             traces_recorded: 1,
         };
         assert!((t.eviction_rate() - 0.1).abs() < 1e-12);
-        assert!((t.bailout_rate() - 0.05).abs() < 1e-12);
         assert_eq!(BatchTelemetry::default().eviction_rate(), 0.0);
-        assert_eq!(BatchTelemetry::default().bailout_rate(), 0.0);
     }
 }

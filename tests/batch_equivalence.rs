@@ -100,40 +100,11 @@ fn scrambled_campaigns_are_batch_invariant() {
     assert_batch_invariant(&sc);
 }
 
-/// Runs `sc` batched at a pinned bail-out fraction and returns the exact
-/// bytes its JSONL sink streamed.
-fn jsonl_bailout(sc: &Scenario, threads: usize, fraction: f64) -> String {
-    let mut sink = JsonlSink::new(Vec::new());
-    CampaignRunner::new(sc.clone())
-        .batch(true)
-        .bailout(fraction)
-        .threads(threads)
-        .run(&mut sink)
-        .unwrap_or_else(|e| panic!("{}: {e}", sc.name));
-    String::from_utf8(sink.into_inner()).expect("sinks emit UTF-8")
-}
-
 #[test]
-fn bailout_threshold_never_changes_rows() {
-    // The adaptive bail-out only moves lanes between the "survived the
-    // plane pass" and "replayed scalar" buckets — both of which reproduce
-    // the scalar trial exactly — so every threshold must stream the same
-    // bytes: 0.0 never bails, 0.25 is the shipped default, 1.0 abandons a
-    // whole group on its first eviction.
+fn tiny_fig4_and_tradeoff_smoke_are_batch_invariant() {
     let tradeoff = registry::get("tradeoff", true).expect("preset exists");
     for sc in [tiny_fig4(), tradeoff] {
-        let reference = jsonl(&sc, false, 1);
-        assert!(!reference.is_empty(), "{}: no rows streamed", sc.name);
-        for fraction in [0.0, 0.25, 1.0] {
-            for threads in [1, 4] {
-                assert_eq!(
-                    reference,
-                    jsonl_bailout(&sc, threads, fraction),
-                    "{}: bail-out {fraction} diverged at {threads} thread(s)",
-                    sc.name
-                );
-            }
-        }
+        assert_batch_invariant(&sc);
     }
 }
 
@@ -152,21 +123,19 @@ fn full_group_fig2() -> Scenario {
 }
 
 #[test]
-fn full_injection_groups_resume_byte_identically_at_every_bailout() {
-    // Evicted and bailed lanes resume at the stage they left the clean
-    // pass; whichever lanes the bail-out abandons and wherever they
-    // resume, the rows must equal the from-scratch scalar campaign's.
+fn full_injection_groups_resume_byte_identically() {
+    // Evicted lanes resume at the stage they left the clean pass;
+    // wherever they resume, the rows must equal the from-scratch scalar
+    // campaign's.
     let sc = full_group_fig2();
     let reference = jsonl(&sc, false, 1);
     assert!(!reference.is_empty(), "{}: no rows streamed", sc.name);
-    for fraction in [0.0, 0.25, 1.0] {
-        for threads in [1, 2] {
-            assert_eq!(
-                reference,
-                jsonl_bailout(&sc, threads, fraction),
-                "{}: bail-out {fraction} diverged at {threads} thread(s)",
-                sc.name
-            );
-        }
+    for threads in [1, 2] {
+        assert_eq!(
+            reference,
+            jsonl(&sc, true, threads),
+            "{}: batched output diverged at {threads} thread(s)",
+            sc.name
+        );
     }
 }

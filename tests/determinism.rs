@@ -99,8 +99,8 @@ fn fig4_points_identical_serial_vs_parallel() {
 
 /// Execution settings are scoped to their campaign: two campaigns running
 /// *at the same time* on two driver threads — one serial and scalar, one
-/// on two workers, batched, bailing out on the first eviction — stream
-/// byte-identical JSONL, with no lock serializing them.
+/// on two workers and batched — stream byte-identical JSONL, with no
+/// lock serializing them.
 #[test]
 fn concurrent_campaigns_keep_their_own_settings() {
     for sc in [fig2_spec(), fig4_spec()] {
@@ -111,14 +111,7 @@ fn concurrent_campaigns_keep_their_own_settings() {
         };
         let (scalar, batched) = std::thread::scope(|s| {
             let scalar = s.spawn(|| jsonl(CampaignRunner::new(sc.clone()).threads(1).batch(false)));
-            let batched = s.spawn(|| {
-                jsonl(
-                    CampaignRunner::new(sc.clone())
-                        .threads(2)
-                        .batch(true)
-                        .bailout(1.0),
-                )
-            });
+            let batched = s.spawn(|| jsonl(CampaignRunner::new(sc.clone()).threads(2).batch(true)));
             (scalar.join().unwrap(), batched.join().unwrap())
         });
         assert!(!scalar.is_empty(), "{}", sc.name);

@@ -7,7 +7,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use dream_suite::sim::exec::{ExecConfig, BAILOUT_ENV, BATCH_ENV, DEFAULT_BAILOUT, THREADS_ENV};
+use dream_suite::sim::exec::{ExecConfig, BATCH_ENV, THREADS_ENV};
 
 /// Runs `f` with `var` set to `value` (or unset for `None`), restoring the
 /// surrounding value afterwards, panic included.
@@ -44,11 +44,9 @@ fn rejection(var: &str, value: &str) -> String {
 
 #[test]
 fn from_env_round_trips_each_variable_and_rejects_malformed_values() {
-    // Defaults: all cores, batching on, the default bail-out.
+    // Defaults: all cores, batching on.
     let defaults = with_var(THREADS_ENV, None, || {
-        with_var(BATCH_ENV, None, || {
-            with_var(BAILOUT_ENV, None, ExecConfig::from_env)
-        })
+        with_var(BATCH_ENV, None, ExecConfig::from_env)
     });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(
@@ -56,7 +54,6 @@ fn from_env_round_trips_each_variable_and_rejects_malformed_values() {
         ExecConfig {
             threads: cores,
             batch: true,
-            bailout: DEFAULT_BAILOUT,
         }
     );
 
@@ -68,10 +65,6 @@ fn from_env_round_trips_each_variable_and_rejects_malformed_values() {
     for (raw, on) in [("0", false), ("off", false), ("1", true), ("On", true)] {
         let cfg = with_var(BATCH_ENV, Some(raw), ExecConfig::from_env);
         assert_eq!(cfg.batch, on, "{BATCH_ENV}={raw}");
-    }
-    for frac in [0.0, 0.5, 1.0] {
-        let cfg = with_var(BAILOUT_ENV, Some(&frac.to_string()), ExecConfig::from_env);
-        assert_eq!(cfg.bailout, frac);
     }
 
     // A typo must not silently run another configuration.
@@ -88,16 +81,6 @@ fn from_env_round_trips_each_variable_and_rejects_malformed_values() {
     let message = rejection(BATCH_ENV, "maybe");
     assert!(
         message.contains("DREAM_BATCH must be one of 1/true/on/0/false/off"),
-        "{message}"
-    );
-    let message = rejection(BAILOUT_ENV, "lots");
-    assert!(
-        message.contains("DREAM_BATCH_BAILOUT must be a number in 0.0..=1.0"),
-        "{message}"
-    );
-    let message = rejection(BAILOUT_ENV, "2");
-    assert!(
-        message.contains("DREAM_BATCH_BAILOUT must be in 0.0..=1.0"),
         "{message}"
     );
 }
